@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._seeds import spawn
+
 __all__ = [
     "FitError",
     "PowerLawFit",
@@ -308,12 +310,8 @@ def empirical_concentration(
     if samples < 1000:
         raise ValueError(f"need at least 1000 samples, got {samples}")
     bound = concentration_bound(dim, epsilon)
-    if isinstance(seed, np.random.SeedSequence):
-        base = seed
-    else:
-        base = np.random.SeedSequence(int(seed) % 2**64)
     n_batches = (samples + _BATCH - 1) // _BATCH
-    streams = base.spawn(n_batches)
+    streams = spawn(seed, n_batches)
     hits = 0
     total = 0
     mean_acc = 0.0

@@ -338,8 +338,9 @@ def random_tangent_step(
 
     whose squared metric length d_theta^T g d_theta equals delta_s^2.
 
-    Raises :class:`DegenerateFrameError` when no direction is available;
-    the caller is expected to perturb the point and retry.
+    Raises :class:`DegenerateFrameError` when no direction is available.
+    A frame from :func:`metric_tensor` at dim >= 2 always has one: its
+    first diagonal entry is 1, so the largest eigenvalue is at least 1.
     """
     if not 0.0 < delta_s <= HALF_PI:
         raise ValueError(f"delta_s must lie in (0, pi/2], got {delta_s}")

@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ._seeds import as_seedseq, spawn
 from .hilbert import HALF_PI, StateVector, random_state
 
 __all__ = [
@@ -230,19 +231,11 @@ def critical_threshold(dist: DistanceMatrix) -> Optional[float]:
     return None
 
 
-def _as_seedseq(seed) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    if isinstance(seed, (int, np.integer)):
-        return np.random.SeedSequence(int(seed) % 2**64)
-    return np.random.SeedSequence(seed)
-
-
 def critical_threshold_sample(qubits: int, n_points: int, sample_seed) -> Optional[float]:
     """Critical threshold of one freshly drawn cloud (None if it has none)."""
     if qubits < 1:
         raise ValueError(f"qubits must be >= 1, got {qubits}")
-    rng = np.random.default_rng(_as_seedseq(sample_seed))
+    rng = np.random.default_rng(as_seedseq(sample_seed))
     cloud = random_cloud(2**qubits, n_points, rng)
     return critical_threshold(pairwise_distances(cloud))
 
@@ -284,10 +277,9 @@ def critical_threshold_experiment(
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    base = _as_seedseq(seed)
     raw = [
         critical_threshold_sample(qubits, n_points, ss)
-        for ss in base.spawn(samples)
+        for ss in spawn(seed, samples)
     ]
     none_mask = np.array([v is None for v in raw])
     values = np.array([math.nan if v is None else v for v in raw])

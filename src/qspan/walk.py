@@ -19,19 +19,29 @@ The per-trial critical stride is the smallest delta_s at which a walk
 from the trial's initial state reaches the far edge, located by probing
 an ascending stride grid with fresh step directions per probe; see
 :func:`critical_step_for_trial`.
+
+:func:`run_walk` is the validated public walk, built from the
+:mod:`qspan.hilbert` types.  The probe scan instead runs a private
+kernel on raw arrays that walks several consecutive probes of a trial in
+lockstep.  The kernel repeats the floating-point operations of
+``to_coords``, ``metric_tensor``, ``random_tangent_step``,
+``state_from_angles`` and ``fs_distance`` one for one, and draws the
+directions in the order a probe-by-probe scan draws them, so its strides
+equal those of a scan built from :func:`run_walk` bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
+from ._seeds import spawn
 from .hilbert import (
+    DEGENERACY_TOL,
     HALF_PI,
-    DegenerateFrameError,
     StateVector,
     fs_distance,
     metric_tensor,
@@ -48,7 +58,6 @@ __all__ = [
     "HeuristicModel",
     "TrialCritical",
     "CriticalStepResult",
-    "WalkFailureError",
     "paper_epsilon",
     "run_walk",
     "critical_step_for_trial",
@@ -65,12 +74,14 @@ BRACKET_REL_WIDTH = 1e-3
 
 EPSILON_MODES = ("paper", "fixed")
 
-_DEGENERATE_RETRIES = 8
-_NUDGE_SCALE = 1e-9
-
-
-class WalkFailureError(RuntimeError):
-    """A walk step could not be completed."""
+#: Most probes the scan walks in lockstep.  Batches start at one probe
+#: and double up to this, so the probes walked past a trial's success
+#: stay fewer than the probes it needed.
+_MAX_BATCH = 32
+#: Most metric entries (probes * p * p) one lockstep step holds.  At
+#: large p a stacked eigh costs the same per probe as a single one, so
+#: batching there gains nothing and would only multiply memory.
+_MAX_BATCH_ENTRIES = 2**15
 
 
 def paper_epsilon(qubits: int) -> float:
@@ -176,65 +187,173 @@ def run_walk(
 def _advance(
     state: StateVector, delta_s: float, exact_step: bool, rng: np.random.Generator
 ) -> StateVector:
+    # Every chart point has an active direction: g_00 = 1, so max(h) >= 1.
     coords = to_coords(state)
-    theta = coords.theta
-    frame = metric_tensor(coords)
-    for _ in range(_DEGENERATE_RETRIES):
-        try:
-            step = random_tangent_step(frame, delta_s, rng)
-            break
-        except DegenerateFrameError:
-            # Singular chart point: nudge infinitesimally and retry.
-            nudged = state_from_angles(theta + _NUDGE_SCALE * rng.standard_normal(theta.shape))
-            coords = to_coords(nudged)
-            theta = coords.theta
-            frame = metric_tensor(coords)
-    else:
-        raise WalkFailureError("metric frame stayed fully degenerate after retries")
+    step = random_tangent_step(metric_tensor(coords), delta_s, rng)
     if exact_step:
-        return _exact_stride(state, theta, step.d_theta, delta_s)
-    return state_from_angles(theta + step.d_theta)
+        return StateVector(
+            _exact_stride(state.amplitudes, coords.theta, step.d_theta, delta_s)
+        )
+    return state_from_angles(coords.theta + step.d_theta)
 
 
 def _exact_stride(
-    state: StateVector, theta: np.ndarray, d_theta: np.ndarray, delta_s: float
-) -> StateVector:
+    a: np.ndarray, theta: np.ndarray, d_theta: np.ndarray, delta_s: float
+) -> np.ndarray:
     """Rescale the displacement so the realized distance equals delta_s.
 
     Scans outward along the ray theta + c * d_theta until the realized
-    distance crosses the target, then root-finds the crossing (relative
-    accuracy much better than 1e-6).  Strides near pi/2 may not be
-    realizable along a given ray at all; in that case the step falls
-    back to the scale that maximizes the realized distance.
+    distance from the amplitudes ``a`` crosses the target, then
+    root-finds the crossing (relative accuracy much better than 1e-6).
+    Strides near pi/2 may not be realizable along a given ray at all; in
+    that case the step falls back to the scale that maximizes the
+    realized distance.  Returns the amplitudes of the new point.
     """
 
+    def moved(c: float) -> np.ndarray:
+        return _amplitudes((theta + c * d_theta)[None])
+
     def realized(c: float) -> float:
-        return fs_distance(state, state_from_angles(theta + c * d_theta))
+        return float(_fs_distances(a, moved(c))[0])
 
     lo = 0.0
     for hi in np.arange(0.25, 64.25, 0.25):
-        if realized(hi) >= delta_s:
-            if realized(hi) == delta_s:
+        at_hi = realized(hi)
+        if at_hi >= delta_s:
+            if at_hi == delta_s:
                 c = float(hi)
             else:
                 c = float(
                     brentq(lambda x: realized(x) - delta_s, lo, hi, xtol=1e-12, rtol=1e-14)
                 )
-            return state_from_angles(theta + c * d_theta)
+            return moved(c)[0]
         lo = float(hi)
     best = minimize_scalar(
         lambda x: -realized(x), bounds=(0.0, 64.0), method="bounded",
         options={"xatol": 1e-9},
     )
-    return state_from_angles(theta + float(best.x) * d_theta)
+    return moved(float(best.x))[0]
 
 
-def _as_seedseq(seed) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    if isinstance(seed, (int, np.integer)):
-        return np.random.SeedSequence(int(seed) % 2**64)
-    return np.random.SeedSequence(seed)
+# --- lockstep probe kernel ---------------------------------------------------
+#
+# Raw-array twins of the hilbert chart functions, over a leading batch
+# axis of K walkers.  Each repeats its twin's floating-point operations
+# in the same order; the row dot products go through matmul on
+# (K, 1, n) @ (K, n, 1) stacks, which calls the same BLAS dot per row as
+# the 1-d ``dot`` inside ``np.linalg.norm``.
+
+
+def _sq_norms(x: np.ndarray) -> np.ndarray:
+    """Row-wise x . x of a real (K, n) array."""
+    return (x[:, None, :] @ x[:, :, None])[:, 0, 0]
+
+
+def _amplitudes(theta: np.ndarray) -> np.ndarray:
+    """``state_from_angles`` on (K, 2n) angles: normalized (K, n + 1) amplitudes."""
+    k, p = theta.shape
+    n = p // 2
+    mag = theta[:, :n]
+    ones = np.ones((k, 1))
+    sines = np.cumprod(np.concatenate((ones, np.sin(mag)), axis=1), axis=1)
+    moduli = sines * np.concatenate((np.cos(mag), ones), axis=1)
+    amps = moduli * np.exp(1j * np.concatenate((theta[:, n:], np.zeros((k, 1))), axis=1))
+    norm = np.sqrt(_sq_norms(amps.real) + _sq_norms(amps.imag))
+    return amps / norm[:, None]
+
+
+def _fs_distances(a: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """``fs_distance`` from the amplitudes ``a`` to each row of ``amps``."""
+    inner = np.array([np.vdot(a, row) for row in amps])
+    ortho = amps - inner[:, None] * a
+    return np.arctan2(np.sqrt(_sq_norms(ortho.real) + _sq_norms(ortho.imag)), np.abs(inner))
+
+
+def _chart(amps: np.ndarray):
+    """``to_coords`` then ``metric_tensor``: angles, eigenframe, active mask."""
+    k, d = amps.shape
+    n = d - 1
+    last = amps[:, -1:]
+    a = np.where(last != 0, amps * np.exp(-1j * np.angle(last)), amps)
+    m = np.abs(a)
+    tail = np.sqrt(np.cumsum((m * m)[:, ::-1], axis=1)[:, ::-1])
+    mag = np.arctan2(tail[:, 1:], m[:, :-1])
+    ph = np.where(m[:, :-1] == 0.0, 0.0, np.mod(np.angle(a[:, :-1]), 2 * np.pi))
+    ph[ph >= 2 * np.pi] = 0.0
+    theta = np.concatenate((mag, ph), axis=1)
+
+    sin_sq = np.sin(mag) ** 2
+    prefix = np.cumprod(np.concatenate((np.ones((k, 1)), sin_sq[:, :-1]), axis=1), axis=1)
+    v = prefix * np.cos(mag) ** 2
+    diag = np.arange(n)
+    g = np.zeros((k, 2 * n, 2 * n))
+    g[:, diag, diag] = prefix
+    phase = np.zeros((k, n, n))
+    phase[:, diag, diag] = v
+    g[:, n:, n:] = phase - v[:, :, None] * v[:, None, :]
+    h, vecs = np.linalg.eigh(g)
+    active = h >= DEGENERACY_TOL * h[:, -1:]
+    return theta, h, vecs, active
+
+
+def _lockstep(a, strides, steps, exact_step, directions):
+    """Final spans of walks from ``a``, one per stride, stepped together.
+
+    ``directions(t, active)`` returns step t's unit directions, zero on
+    the degenerate eigen-directions, or None to abandon the batch.  With
+    ``exact_step`` the batch holds a single probe.
+    """
+    amps = np.broadcast_to(a, (strides.size, a.size))
+    for t in range(steps):
+        theta, h, vecs, active = _chart(amps)
+        u = directions(t, active)
+        if u is None:
+            return None
+        scaled = np.zeros(u.shape)
+        scaled[active] = (strides[:, None] * u)[active] / np.sqrt(h[active])
+        d_theta = (vecs @ scaled[:, :, None])[:, :, 0]
+        if exact_step:
+            amps = _exact_stride(amps[0], theta[0], d_theta[0], strides[0])[None]
+        else:
+            amps = _amplitudes(theta + d_theta)
+    return _fs_distances(a, amps)
+
+
+def _unit_rows(u: np.ndarray) -> np.ndarray | None:
+    norm = np.sqrt(_sq_norms(u))
+    return u / norm[:, None] if norm.all() else None
+
+
+def _probe_batch(a, strides, steps, exact_step, rng):
+    """Final spans of the probes at ``strides``, in grid order.
+
+    The batch draws all its directions at once as a (K, steps, p) block,
+    the same variates K * steps sequential draws of p give.  A draw that
+    vanishes on every active direction (probability ~0) is redrawn by
+    the sequential scan, which shifts the rest of the stream; the batch
+    then rewinds the generator and replays its probes one at a time,
+    drawing step by step.
+    """
+    p = 2 * (a.size - 1)
+    saved = rng.bit_generator.state
+    normals = rng.standard_normal((strides.size, steps, p))
+    final = _lockstep(
+        a, strides, steps, exact_step,
+        lambda t, active: _unit_rows(np.where(active, normals[:, t], 0.0)),
+    )
+    if final is not None:
+        return final
+
+    def stepwise(t, active):
+        u = None
+        while u is None:
+            u = _unit_rows(np.where(active, rng.standard_normal((1, p)), 0.0))
+        return u
+
+    rng.bit_generator.state = saved
+    return np.concatenate(
+        [_lockstep(a, strides[i:i + 1], steps, exact_step, stepwise) for i in range(strides.size)]
+    )
 
 
 @dataclass(frozen=True)
@@ -269,37 +388,56 @@ def critical_step_for_trial(
     exactly; a trial that still fails there is censored: recorded at
     pi/2 and flagged, to be excluded from averages by the caller.
 
+    Consecutive probes run in lockstep batches of 1, 2, 4, ... up to 32
+    walks, fewer at large dimension (one probe at a time with
+    ``exact_step``, whose per-step root find does not batch); a batch
+    that contains a success ends the scan
+    at its first success in grid order, and the probes after it are
+    discarded.  The batch draws its directions in probe order, so the
+    result equals, bit for bit, that of a scan that walks each probe
+    with :func:`run_walk` and stops at the first success.
+
     Results are reproducible bit for bit from (seed, qubit count, steps,
     stride grid): probe order is deterministic, and the direction stream
-    is consumed sequentially across probes.
+    is consumed sequentially across probes.  The arguments are checked
+    through :class:`WalkConfig` before anything is drawn.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    ss = _as_seedseq(trial_seed)
-    init_ss, dir_ss = ss.spawn(2)
-    initial = random_state(2**qubits, np.random.default_rng(init_ss))
-    rng = np.random.default_rng(dir_ss)
-
-    def reaches(delta_s: float) -> bool:
-        cfg = WalkConfig(
-            qubits=qubits,
-            steps=steps,
-            delta_s=delta_s,
-            epsilon_mode=epsilon_mode,
-            epsilon=epsilon,
-            exact_step=exact_step,
-        )
-        return run_walk(initial, cfg, rng).reached
-
+    config = WalkConfig(
+        qubits=qubits,
+        steps=steps,
+        delta_s=HALF_PI,
+        epsilon_mode=epsilon_mode,
+        epsilon=epsilon,
+        exact_step=exact_step,
+    )
     eps = paper_epsilon(qubits) if epsilon_mode == "paper" else float(epsilon)
+    floor = (HALF_PI - eps) / steps
+    replace(config, delta_s=floor)  # the floor stride must be a valid stride
     grid = bracket_rel_width * HALF_PI
-    s = (HALF_PI - eps) / steps
+    strides = []
+    s = floor
     while s < HALF_PI:
-        if reaches(s):
-            return TrialCritical(value=float(s), censored=False)
+        strides.append(s)
         s += grid
-    if reaches(HALF_PI):
-        return TrialCritical(value=float(HALF_PI), censored=False)
+    strides = np.array(strides + [HALF_PI])
+
+    init_ss, dir_ss = spawn(trial_seed, 2)
+    a = random_state(2**qubits, np.random.default_rng(init_ss)).amplitudes
+    rng = np.random.default_rng(dir_ss)
+    p = 2 * (a.size - 1)
+    cap = 1 if exact_step else max(1, min(_MAX_BATCH, _MAX_BATCH_ENTRIES // p**2))
+    done = 0
+    size = 1
+    while done < strides.size:
+        batch = strides[done:done + size]
+        final = _probe_batch(a, batch, steps, exact_step, rng)
+        reached = np.flatnonzero(HALF_PI - final <= config.epsilon)
+        if reached.size:
+            return TrialCritical(value=float(batch[reached[0]]), censored=False)
+        done += batch.size
+        size = min(2 * size, cap)
     return TrialCritical(value=float(HALF_PI), censored=True)
 
 
@@ -351,7 +489,6 @@ def critical_step_length(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    base = _as_seedseq(seed)
     outcomes = [
         critical_step_for_trial(
             qubits,
@@ -362,7 +499,7 @@ def critical_step_length(
             exact_step=exact_step,
             bracket_rel_width=bracket_rel_width,
         )
-        for trial_ss in base.spawn(trials)
+        for trial_ss in spawn(seed, trials)
     ]
     values = np.array([t.value for t in outcomes])
     censored = np.array([t.censored for t in outcomes])

@@ -220,6 +220,17 @@ class TestEmpiricalConcentration:
         assert a.empirical_probability == b.empirical_probability
         assert a.overlap_sq_mean == b.overlap_sq_mean
 
+    def test_entropy_sequence_seed(self):
+        a = empirical_concentration(4, 0.25, 1000, seed=[1, 2])
+        b = empirical_concentration(4, 0.25, 1000, np.random.SeedSequence([1, 2]))
+        assert a == b
+
+    def test_seed_sequence_is_not_consumed(self):
+        ss = np.random.SeedSequence(5)
+        a = empirical_concentration(16, 0.1, 2000, ss)
+        b = empirical_concentration(16, 0.1, 2000, ss)
+        assert a == b == empirical_concentration(16, 0.1, 2000, 5)
+
     def test_report_fields(self):
         rep = empirical_concentration(16, 0.1, 3000, 5)
         assert rep.dim == 16

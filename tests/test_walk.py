@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qspan.hilbert import StateVector, fs_distance, random_state
 from qspan.walk import (
     BRACKET_REL_WIDTH,
     CriticalStepResult,
     HeuristicModel,
+    TrialCritical,
     UnitaryProbe,
     WalkConfig,
     critical_step_for_trial,
@@ -169,6 +172,18 @@ class TestCriticalStep:
         assert res.censored_count == 0
         assert abs(res.mean / target - 1) <= 0.25
 
+    @pytest.mark.parametrize("mode", ["fixed", "magic"])
+    def test_bad_epsilon_arguments_raise_value_error(self, mode):
+        with pytest.raises(ValueError):
+            critical_step_for_trial(1, 3, 5, epsilon_mode=mode)
+
+    def test_seed_sequence_is_not_consumed(self):
+        ss = np.random.SeedSequence(3)
+        a = critical_step_length(1, 3, 3, ss)
+        b = critical_step_length(1, 3, 3, ss)
+        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.values, critical_step_length(1, 3, 3, 3).values)
+
     def test_all_censored_statistics_are_nan(self):
         values = np.full(3, HALF_PI)
         censored = np.ones(3, dtype=bool)
@@ -177,6 +192,97 @@ class TestCriticalStep:
         )
         assert res.censored_count == 3
         assert math.isnan(res.mean)
+
+
+def oracle_trial(qubits, steps, seed, exact_step=False):
+    """The probe scan walked one probe at a time through the public run_walk."""
+    init_ss, dir_ss = np.random.SeedSequence(seed).spawn(2)
+    initial = random_state(2**qubits, np.random.default_rng(init_ss))
+    rng = np.random.default_rng(dir_ss)
+
+    def reaches(delta_s):
+        cfg = WalkConfig(qubits=qubits, steps=steps, delta_s=delta_s, exact_step=exact_step)
+        return run_walk(initial, cfg, rng).reached
+
+    s = (HALF_PI - paper_epsilon(qubits)) / steps
+    while s < HALF_PI:
+        if reaches(s):
+            return TrialCritical(value=s, censored=False)
+        s += BRACKET_REL_WIDTH * HALF_PI
+    return TrialCritical(value=HALF_PI, censored=not reaches(HALF_PI))
+
+
+class ZeroedNormals:
+    """A default_rng stand-in whose normals at chosen stream positions are 0.0.
+
+    Its ``bit_generator.state`` covers the stream position, so a rewind
+    replays the zeros too.
+    """
+
+    def __init__(self, seed, zeros):
+        self._gen = np.random.Generator(np.random.PCG64(seed))
+        self._zeros = zeros
+        self._pos = 0
+        self.bit_generator = self
+        self.rewinds = 0
+
+    @property
+    def state(self):
+        return self._gen.bit_generator.state, self._pos
+
+    @state.setter
+    def state(self, value):
+        self.rewinds += 1
+        self._gen.bit_generator.state, self._pos = value
+
+    def standard_normal(self, size):
+        x = self._gen.standard_normal(size)
+        flat = x.reshape(-1)
+        for i in self._zeros:
+            if 0 <= i - self._pos < flat.size:
+                flat[i - self._pos] = 0.0
+        self._pos += flat.size
+        return x
+
+
+class TestLockstepScan:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        qubits=st.integers(1, 3),
+        steps=st.integers(1, 12),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_matches_probe_by_probe_scan(self, qubits, steps, seed):
+        assert critical_step_for_trial(qubits, steps, seed) == oracle_trial(qubits, steps, seed)
+
+    @pytest.mark.parametrize(
+        "qubits, steps, exact_step",
+        [(2, 3, True), (5, 2, False)],  # one probe per batch; batches capped at 8
+    )
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_probe_by_probe_scan_off_the_drawn_grid(
+        self, qubits, steps, exact_step, seed
+    ):
+        got = critical_step_for_trial(qubits, steps, seed, exact_step=exact_step)
+        assert got == oracle_trial(qubits, steps, seed, exact_step=exact_step)
+
+    @pytest.mark.parametrize("draw", [4, 11, 40])
+    def test_vanished_draw_is_redrawn_as_in_the_sequential_scan(self, monkeypatch, draw):
+        # One qubit has p = 2 active directions; zeroing both normals of
+        # direction draw ``draw`` makes that step's norm exactly 0, so
+        # the scan must redraw there, rewinding any batch it falls in.
+        made = []
+
+        def zeroed_rng(seed):
+            made.append(ZeroedNormals(seed, {2 * draw, 2 * draw + 1}))
+            return made[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", zeroed_rng)
+        want = oracle_trial(1, 3, 9)
+        assert made[1]._pos > 2 * draw  # the oracle walked through the zero draw
+        got = critical_step_for_trial(1, 3, 9)
+        assert made[3].rewinds == 1
+        assert got == want
 
 
 class TestHeuristics:
