@@ -5,7 +5,7 @@ measured number against its tolerance window.  One PASS/FAIL line per
 criterion is written straight to the terminal (bypassing capture) so a
 plain ``pytest tests/test_acceptance.py`` run reads as a checklist.
 
-The walk survey (criteria 1 and 2) is the long pole at roughly ten
+The walk survey (criteria 1 and 2) is the long pole at roughly three
 minutes on one core; everything else finishes in seconds.
 """
 
