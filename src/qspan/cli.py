@@ -22,7 +22,8 @@ import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -80,6 +81,17 @@ _WALK_FIT_MIN_STEPS = 3
 
 class UsageError(ValueError):
     """The supplied configuration cannot be run."""
+
+
+def _row_kind(kind: str, trials) -> str:
+    """The experiment whose rows a run of ``kind`` writes.
+
+    A fit runs the walk survey when given trials and the percolation
+    survey otherwise, and emits that survey's rows.
+    """
+    if kind != "fit":
+        return kind
+    return "walk-critical" if trials is not None else "percolation-critical"
 
 
 class FileError(RuntimeError):
@@ -152,6 +164,12 @@ class ExperimentConfig:
             raise UsageError("epsilon: fixed mode needs a numeric value")
         if self.epsilon_mode == "paper" and self.epsilon is not None:
             raise UsageError("epsilon: paper mode derives the margin; drop the numeric value")
+        if self.epsilon is not None:
+            if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+                raise UsageError(f"epsilon: must be a finite number > 0, got {self.epsilon}")
+            walk = _row_kind(self.kind, self.trials) == "walk-critical"
+            if walk and self.epsilon > math.pi / 2:
+                raise UsageError(f"epsilon: walk margins must be <= pi/2, got {self.epsilon}")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise UsageError(f"seed: must be an integer, got {self.seed!r}")
         if not 0 <= self.seed < 2**64:
@@ -171,6 +189,8 @@ class ExperimentConfig:
         if self.kind == "concentration":
             if self.samples is None:
                 raise UsageError("samples: concentration needs --samples")
+            if self.samples < 1000:
+                raise UsageError(f"samples: concentration needs >= 1000, got {self.samples}")
             if self.epsilon is None:
                 raise UsageError("epsilon: concentration needs a numeric --epsilon")
         if self.kind == "fit" and (self.trials is None) == (self.samples is None):
@@ -180,11 +200,7 @@ class ExperimentConfig:
             )
 
     def as_dict(self) -> dict:
-        d = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            d[f.name] = list(v) if isinstance(v, tuple) else v
-        return d
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
 
 @dataclass(frozen=True)
@@ -217,15 +233,28 @@ def _map_tasks(fn, tasks: list, workers: int) -> list:
         return list(pool.map(fn, tasks, chunksize=chunk))
 
 
+def _seeded_survey(config: ExperimentConfig, kind: str, count: int, fn, *extra) -> list:
+    """Run ``fn`` on ``count`` substreams per (qubits, steps) cell.
+
+    Task ``(n, m, seed_seq, *extra)`` draws from substream ``i`` of
+    SeedSequence([seed, kind code, n, m]).  Returns ((n, m, i), outcome)
+    pairs in row order.
+    """
+    keys = []
+    tasks = []
+    for n in config.qubits:
+        for m in config.steps:
+            base = np.random.SeedSequence([config.seed, _KIND_CODES[kind], n, m])
+            for i, ss in enumerate(base.spawn(count)):
+                keys.append((n, m, i))
+                tasks.append((n, m, ss, *extra))
+    return list(zip(keys, _map_tasks(fn, tasks, config.workers)))
+
+
 def _walk_trial_task(task):
     qubits, steps, seed_seq, epsilon_mode, epsilon, exact_step = task
     t = critical_step_for_trial(
-        qubits,
-        steps,
-        seed_seq,
-        epsilon_mode=epsilon_mode,
-        epsilon=epsilon,
-        exact_step=exact_step,
+        qubits, steps, seed_seq, epsilon_mode=epsilon_mode, epsilon=epsilon, exact_step=exact_step
     )
     return t.value, t.censored
 
@@ -235,52 +264,30 @@ def _percolation_sample_task(task):
     return critical_threshold_sample(qubits, n_points, seed_seq)
 
 
+def _row(kind: str, *values) -> dict:
+    return dict(zip((name for name, _ in _COLUMNS[kind]), values))
+
+
 def _walk_rows(config: ExperimentConfig) -> list:
-    code = _KIND_CODES["walk-critical"]
-    tasks = []
-    keys = []
-    for n in config.qubits:
-        for m in config.steps:
-            base = np.random.SeedSequence([config.seed, code, n, m])
-            for i, ss in enumerate(base.spawn(config.trials)):
-                tasks.append((n, m, ss, config.epsilon_mode, config.epsilon, config.exact_step))
-                keys.append((n, m, i))
-    outcomes = _map_tasks(_walk_trial_task, tasks, config.workers)
+    outcomes = _seeded_survey(
+        config, "walk-critical", config.trials, _walk_trial_task,
+        config.epsilon_mode, config.epsilon, config.exact_step,
+    )
     return [
-        {
-            "qubits": n,
-            "steps": m,
-            "trial": i,
-            "critical_delta_s": float(value),
-            "censored": bool(censored),
-        }
-        for (n, m, i), (value, censored) in zip(keys, outcomes)
+        _row("walk-critical", n, m, i, float(value), bool(censored))
+        for (n, m, i), (value, censored) in outcomes
     ]
 
 
 def _percolation_rows(config: ExperimentConfig) -> list:
-    code = _KIND_CODES["percolation-critical"]
-    tasks = []
-    keys = []
-    for n in config.qubits:
-        for p in config.steps:
-            base = np.random.SeedSequence([config.seed, code, n, p])
-            for i, ss in enumerate(base.spawn(config.samples)):
-                tasks.append((n, p, ss))
-                keys.append((n, p, i))
-    thresholds = _map_tasks(_percolation_sample_task, tasks, config.workers)
+    outcomes = _seeded_survey(
+        config, "percolation-critical", config.samples, _percolation_sample_task
+    )
     rows = []
     found: dict = {}
-    for (n, p, i), value in zip(keys, thresholds):
-        rows.append(
-            {
-                "qubits": n,
-                "points": p,
-                "sample": i,
-                "critical_delta_s": None if value is None else float(value),
-                "is_none": value is None,
-            }
-        )
+    for (n, p, i), value in outcomes:
+        threshold = None if value is None else float(value)
+        rows.append(_row("percolation-critical", n, p, i, threshold, value is None))
         found[(n, p)] = found.get((n, p), False) or value is not None
     for (n, p), any_found in found.items():
         if not any_found:
@@ -295,20 +302,10 @@ def _concentration_rows(config: ExperimentConfig) -> list:
     code = _KIND_CODES["concentration"]
     rows = []
     for n in config.qubits:
-        report = empirical_concentration(
-            2**n,
-            config.epsilon,
-            config.samples,
-            np.random.SeedSequence([config.seed, code, n]),
-        )
+        seed = np.random.SeedSequence([config.seed, code, n])
+        r = empirical_concentration(2**n, config.epsilon, config.samples, seed)
         rows.append(
-            {
-                "dimension": report.dim,
-                "epsilon": report.epsilon,
-                "bound": report.bound,
-                "empirical": report.empirical_probability,
-                "samples": report.samples,
-            }
+            _row("concentration", r.dim, r.epsilon, r.bound, r.empirical_probability, r.samples)
         )
     return rows
 
@@ -325,17 +322,8 @@ def _accessibility_rows(config: ExperimentConfig) -> list:
                 c_constant=config.c_constant,
             )
         )
-        rows.append(
-            {
-                "qubits": n,
-                "j_over_h_hz": config.j_over_h_hz,
-                "t_d_s": config.t_decoherence_s,
-                "t_f_s": config.t_evolution_s,
-                "index": report.index,
-                "passes": report.passes,
-                "n_max": report.n_max,
-            }
-        )
+        device = (config.j_over_h_hz, config.t_decoherence_s, config.t_evolution_s)
+        rows.append(_row("accessibility", n, *device, report.index, report.passes, report.n_max))
     return rows
 
 
@@ -351,108 +339,55 @@ def _group_means(rows: list, group_key: str, value_key: str, keep) -> dict:
     return {k: s / c for k, (s, c) in sums.items()}
 
 
-def _power_law_fit_dict(label: str, qubits: int, x: list, y: list) -> dict:
-    fit = fit_power_law(x, y)
-    return {
-        "fit": label,
-        "qubits": qubits,
-        "amplitude": fit.amplitude,
-        "exponent": fit.exponent,
-        "amplitude_stderr": fit.amplitude_stderr,
-        "exponent_stderr": fit.exponent_stderr,
-        "rss": fit.rss,
-        "n_points": fit.n_points,
-    }
+def _power_law_fits(
+    config: ExperimentConfig, rows: list, label: str, group_key: str, keep, min_steps: int
+) -> list:
+    """One power-law fit of the mean critical stride against ``group_key`` per qubit count."""
+    means = _group_means(rows, group_key, "critical_delta_s", keep)
+    fits = []
+    for n in config.qubits:
+        pts = [(m, means[(n, m)]) for m in config.steps if m >= min_steps and (n, m) in means]
+        if len(pts) < 2:
+            continue
+        fit = fit_power_law([p[0] for p in pts], [p[1] for p in pts])
+        fits.append({"fit": label, "qubits": n, **asdict(fit)})
+    return fits
 
 
 def _scaling_fit_dict(label: str, x: list, y: list) -> dict:
-    fit = fit_exponent_scaling(x, y)
-    return {
-        "fit": label,
-        "amplitude": fit.amplitude,
-        "exponent": fit.exponent,
-        "amplitude_stderr": fit.amplitude_stderr,
-        "exponent_stderr": fit.exponent_stderr,
-        "rss": fit.rss,
-        "n_points": fit.n_points,
-    }
+    return {"fit": label, **asdict(fit_exponent_scaling(x, y))}
 
 
 def _walk_fits(config: ExperimentConfig, rows: list) -> list:
-    means = _group_means(
-        rows, "steps", "critical_delta_s", keep=lambda r: not r["censored"]
+    fits = _power_law_fits(
+        config, rows, "stride-power-law", "steps",
+        keep=lambda r: not r["censored"], min_steps=_WALK_FIT_MIN_STEPS,
     )
-    fits = []
-    per_qubits: dict = {}
-    for n in config.qubits:
-        pts = [
-            (m, means[(n, m)])
-            for m in config.steps
-            if m >= _WALK_FIT_MIN_STEPS and (n, m) in means
-        ]
-        if len(pts) < 2:
-            continue
-        d = _power_law_fit_dict(
-            "stride-power-law", n, [p[0] for p in pts], [p[1] for p in pts]
-        )
-        fits.append(d)
-        per_qubits[n] = d
+    per_qubits = {d["qubits"]: d for d in fits}
     if len(per_qubits) >= 2:
         ns = sorted(per_qubits)
-        fits.append(
-            _scaling_fit_dict(
-                "amplitude-vs-qubits", ns, [per_qubits[n]["amplitude"] for n in ns]
-            )
-        )
-        fits.append(
-            _scaling_fit_dict(
-                "exponent-vs-qubits", ns, [per_qubits[n]["exponent"] for n in ns]
-            )
-        )
+        for key in ("amplitude", "exponent"):
+            y = [per_qubits[n][key] for n in ns]
+            fits.append(_scaling_fit_dict(f"{key}-vs-qubits", ns, y))
     return fits
 
 
 def _percolation_fits(config: ExperimentConfig, rows: list) -> list:
-    means = _group_means(
-        rows, "points", "critical_delta_s", keep=lambda r: not r["is_none"]
+    fits = _power_law_fits(
+        config, rows, "threshold-power-law", "points",
+        keep=lambda r: not r["is_none"], min_steps=1,
     )
-    fits = []
-    per_qubits: dict = {}
-    for n in config.qubits:
-        pts = [(p, means[(n, p)]) for p in config.steps if (n, p) in means]
-        if len(pts) < 2:
-            continue
-        d = _power_law_fit_dict(
-            "threshold-power-law", n, [p[0] for p in pts], [p[1] for p in pts]
-        )
-        fits.append(d)
-        per_qubits[n] = d
+    per_qubits = {d["qubits"]: d for d in fits}
     if len(per_qubits) >= 2:
         ns = sorted(per_qubits)
         dims = [2**n for n in ns]
-        fits.append(
-            _scaling_fit_dict(
-                "exponent-vs-dimension", dims, [per_qubits[n]["exponent"] for n in ns]
-            )
-        )
+        exponents = [per_qubits[n]["exponent"] for n in ns]
+        fits.append(_scaling_fit_dict("exponent-vs-dimension", dims, exponents))
         if len(per_qubits) >= 4:
-            sat = fit_saturating_power_law(
-                dims, [per_qubits[n]["amplitude"] for n in ns]
-            )
-            fits.append(
-                {
-                    "fit": "amplitude-saturation",
-                    "gamma": sat.gamma,
-                    "alpha": sat.alpha,
-                    "beta": sat.beta,
-                    "gamma_stderr": sat.gamma_stderr,
-                    "alpha_stderr": sat.alpha_stderr,
-                    "beta_stderr": sat.beta_stderr,
-                    "rss": sat.rss,
-                    "n_points": sat.n_points,
-                    "converged": sat.converged,
-                }
-            )
+            amplitudes = [per_qubits[n]["amplitude"] for n in ns]
+            sat = asdict(fit_saturating_power_law(dims, amplitudes))
+            del sat["n_iterations"]
+            fits.append({"fit": "amplitude-saturation", **sat})
     return fits
 
 
@@ -464,22 +399,9 @@ def run_experiment(config: ExperimentConfig) -> ResultSet:
     fits) propagate with experiment context attached.
     """
     start = time.perf_counter()
-    fits: list = []
-    if config.kind == "walk-critical":
-        rows = _walk_rows(config)
-    elif config.kind == "percolation-critical":
-        rows = _percolation_rows(config)
-    elif config.kind == "concentration":
-        rows = _concentration_rows(config)
-    elif config.kind == "accessibility":
-        rows = _accessibility_rows(config)
-    else:  # fit
-        if config.trials is not None:
-            rows = _walk_rows(config)
-            fits = _walk_fits(config, rows)
-        else:
-            rows = _percolation_rows(config)
-            fits = _percolation_fits(config, rows)
+    survey = _row_kind(config.kind, config.trials)
+    rows = _SURVEYS[survey](config)
+    fits = _FITS[survey](config, rows) if config.kind == "fit" else []
     rows = [{k: _finite_or_none(v) for k, v in row.items()} for row in rows]
     fits = [{k: _finite_or_none(v) for k, v in fit.items()} for fit in fits]
     metadata = {
@@ -494,44 +416,56 @@ def run_experiment(config: ExperimentConfig) -> ResultSet:
     return ResultSet(metadata=metadata, rows=tuple(rows), fits=tuple(fits))
 
 
+_SURVEYS = {
+    "walk-critical": _walk_rows,
+    "percolation-critical": _percolation_rows,
+    "concentration": _concentration_rows,
+    "accessibility": _accessibility_rows,
+}
+_FITS = {"walk-critical": _walk_fits, "percolation-critical": _percolation_fits}
+
+
 # --- serialization ---------------------------------------------------------
 
-_CSV_COLUMNS = {
-    "walk-critical": ("qubits", "steps", "trial", "critical_delta_s", "censored"),
-    "percolation-critical": ("qubits", "points", "sample", "critical_delta_s", "is_none"),
-    "concentration": ("dimension", "epsilon", "bound", "empirical", "samples"),
-    "accessibility": ("qubits", "j_over_h_hz", "t_d_s", "t_f_s", "index", "passes", "n_max"),
+#: Row columns per experiment kind, in output order, with the type a
+#: CSV cell is read back as.
+_COLUMNS = {
+    "walk-critical": (
+        ("qubits", int),
+        ("steps", int),
+        ("trial", int),
+        ("critical_delta_s", float),
+        ("censored", bool),
+    ),
+    "percolation-critical": (
+        ("qubits", int),
+        ("points", int),
+        ("sample", int),
+        ("critical_delta_s", float),
+        ("is_none", bool),
+    ),
+    "concentration": (
+        ("dimension", int),
+        ("epsilon", float),
+        ("bound", float),
+        ("empirical", float),
+        ("samples", int),
+    ),
+    "accessibility": (
+        ("qubits", int),
+        ("j_over_h_hz", float),
+        ("t_d_s", float),
+        ("t_f_s", float),
+        ("index", float),
+        ("passes", bool),
+        ("n_max", float),
+    ),
 }
 
-_COLUMN_TYPES = {
-    "qubits": int,
-    "steps": int,
-    "trial": int,
-    "points": int,
-    "sample": int,
-    "dimension": int,
-    "samples": int,
-    "critical_delta_s": float,
-    "epsilon": float,
-    "bound": float,
-    "empirical": float,
-    "j_over_h_hz": float,
-    "t_d_s": float,
-    "t_f_s": float,
-    "index": float,
-    "n_max": float,
-    "censored": bool,
-    "is_none": bool,
-    "passes": bool,
-}
 
-
-def _row_columns(result: ResultSet) -> tuple:
-    kind = result.metadata["kind"]
-    if kind == "fit":
-        kind = "walk-critical" if result.metadata["config"]["trials"] is not None \
-            else "percolation-critical"
-    return _CSV_COLUMNS[kind]
+def _row_columns(metadata: dict) -> tuple:
+    """The (name, type) columns of the rows of a result with ``metadata``."""
+    return _COLUMNS[_row_kind(metadata["kind"], metadata["config"]["trials"])]
 
 
 def _json_text(obj) -> str:
@@ -583,7 +517,7 @@ def render(result: ResultSet, format: str) -> str:
         ) + "\n"
     if format != "csv":
         raise UsageError(f"format: expected csv or json, got {format!r}")
-    columns = _row_columns(result)
+    columns = [name for name, _ in _row_columns(result.metadata)]
     lines = ["# qspan-result " + _json_text(result.metadata)]
     for fit in result.fits:
         lines.append("# fit " + _json_text(fit))
@@ -604,10 +538,9 @@ def emit(result: ResultSet, format: str, path: str) -> str:
     return path
 
 
-def _typed_cell(column: str, cell: str):
+def _typed_cell(column: str, kind: type, cell: str):
     if cell == "":
         return None
-    kind = _COLUMN_TYPES.get(column, str)
     if kind is bool:
         if cell not in ("true", "false"):
             raise ValueError(f"column {column}: expected true/false, got {cell!r}")
@@ -633,7 +566,7 @@ def read_result(path: str) -> ResultSet:
     metadata = None
     fits = []
     header = None
-    rows = []
+    cells = []
     for line in text.splitlines():
         if not line.strip():
             continue
@@ -646,12 +579,16 @@ def read_result(path: str) -> ResultSet:
         elif header is None:
             header = line.split(",")
         else:
-            cells = line.split(",")
-            if len(cells) != len(header):
-                raise ValueError(f"{path}: row width {len(cells)} != header {len(header)}")
-            rows.append({c: _typed_cell(c, v) for c, v in zip(header, cells)})
+            cells.append(line.split(","))
+            if len(cells[-1]) != len(header):
+                raise ValueError(f"{path}: row width {len(cells[-1])} != header {len(header)}")
     if metadata is None or header is None:
         raise ValueError(f"{path}: not a result file (missing metadata or header)")
+    types = dict(_row_columns(metadata))
+    rows = [
+        {c: _typed_cell(c, types.get(c, str), v) for c, v in zip(header, row)}
+        for row in cells
+    ]
     return ResultSet(metadata=metadata, rows=tuple(rows), fits=tuple(fits))
 
 
@@ -661,44 +598,75 @@ def _parse_int_list(text: str) -> list:
     try:
         return [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
+        raise ValueError(f"expected comma-separated integers, got {text!r}") from exc
 
 
-_CONFIG_PARSERS = {
-    "experiment": str,
-    "qubits": _parse_int_list,
-    "steps": _parse_int_list,
-    "trials": int,
-    "samples": int,
-    "epsilon": str,
-    "exact_step": lambda s: s.lower() in ("1", "true", "yes", "on"),
-    "seed": int,
-    "workers": int,
-    "out": str,
-    "format": str,
-    "j_over_h_hz": float,
-    "t_decoherence_s": float,
-    "t_evolution_s": float,
-    "c_constant": float,
+def _parse_bool(text: str) -> bool:
+    value = text.lower()
+    if value in ("1", "true", "yes", "on"):
+        return True
+    if value in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"expected true/false, yes/no, on/off or 1/0, got {text!r}")
+
+
+def _parse_epsilon(text: str) -> tuple:
+    """``paper`` or a number -> (epsilon_mode, epsilon)."""
+    if text == "paper":
+        return "paper", None
+    try:
+        return "fixed", float(text)
+    except ValueError as exc:
+        raise ValueError(f"expected 'paper' or a number, got {text!r}") from exc
+
+
+#: Flag (``--`` plus the key with ``-`` for ``_``) or config-file key ->
+#: (parser of its text, help).  Each key is the ExperimentConfig field it
+#: sets, except ``experiment`` (sets ``kind``) and ``epsilon`` (sets
+#: ``epsilon_mode`` and ``epsilon``); defaults are the fields' defaults.
+_OPTIONS = {
+    "experiment": (str, "experiment kind: " + ", ".join(EXPERIMENT_KINDS)),
+    "qubits": (_parse_int_list, "comma-separated qubit counts"),
+    "steps": (_parse_int_list, "comma-separated step counts (cloud sizes for percolation)"),
+    "trials": (int, "walk trials per (qubits, steps) cell"),
+    "samples": (int, "samples per cell (percolation/concentration)"),
+    "epsilon": (
+        _parse_epsilon,
+        "success margin: 'paper' (dimension-tied) or a number in (0, pi/2]",
+    ),
+    "exact_step": (_parse_bool, "rescale each stride so the realized distance matches exactly"),
+    "seed": (int, "64-bit master seed"),
+    "workers": (int, "process count"),
+    "out": (str, "output file path (stdout when not given)"),
+    "format": (str, "output format: csv or json"),
+    "j_over_h_hz": (float, "qubit coupling frequency in Hz"),
+    "t_decoherence_s": (float, "decoherence time in seconds"),
+    "t_evolution_s": (float, "total evolution time in seconds"),
+    "c_constant": (float, "heuristic margin constant"),
 }
 
-_DEFAULTS = {
-    "experiment": None,
-    "qubits": [1],
-    "steps": [10],
-    "trials": None,
-    "samples": None,
-    "epsilon": "paper",
-    "exact_step": False,
-    "seed": 0,
-    "workers": 1,
-    "out": None,
-    "format": "csv",
-    "j_over_h_hz": 5.0e9,
-    "t_decoherence_s": 10.0e-9,
-    "t_evolution_s": 5.0e-6,
-    "c_constant": 1.0,
-}
+
+def _help(key: str) -> str:
+    """The option's help, ending in its ExperimentConfig default if it has one."""
+    defaults = {f.name: f.default for f in fields(ExperimentConfig)}
+    default = defaults.get("epsilon_mode" if key == "epsilon" else key)
+    text = _OPTIONS[key][1]
+    if default is None or default is MISSING:
+        return text
+    if isinstance(default, tuple):
+        default = ",".join(map(str, default))
+    elif isinstance(default, bool):
+        default = str(default).lower()
+    elif isinstance(default, float):
+        default = format(default, "g")
+    return f"{text} (default {default})"
+
+
+def _parse_option(key: str, text: str, where: str):
+    try:
+        return _OPTIONS[key][0](text)
+    except ValueError as exc:
+        raise UsageError(f"{where}: {exc}") from exc
 
 
 def _read_config_file(path: str) -> dict:
@@ -716,18 +684,16 @@ def _read_config_file(path: str) -> dict:
             raise UsageError(f"config: {path}:{lineno}: expected key = value")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in _CONFIG_PARSERS:
+        if key not in _OPTIONS:
             raise UsageError(f"config: {path}:{lineno}: unknown key {key!r}")
-        try:
-            values[key] = _CONFIG_PARSERS[key](value.strip())
-        except (ValueError, argparse.ArgumentTypeError) as exc:
-            raise UsageError(f"config: {path}:{lineno}: {exc}") from exc
+        values[key] = _parse_option(key, value.strip(), f"config: {path}:{lineno}")
     return values
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qspan",
+        argument_default=argparse.SUPPRESS,
         description=(
             "Run a reproducible survey: walk critical strides, percolation "
             "thresholds, overlap concentration, device accessibility, or "
@@ -735,41 +701,13 @@ def _build_parser() -> argparse.ArgumentParser:
             "percolation thresholds with --samples)."
         ),
     )
-    parser.add_argument("--experiment", choices=EXPERIMENT_KINDS, help="experiment kind")
-    parser.add_argument("--qubits", type=_parse_int_list, help="comma-separated qubit counts")
-    parser.add_argument(
-        "--steps",
-        type=_parse_int_list,
-        help="comma-separated step counts (cloud sizes for percolation)",
-    )
-    parser.add_argument("--trials", type=int, help="walk trials per (qubits, steps) cell")
-    parser.add_argument("--samples", type=int, help="samples per cell (percolation/concentration)")
-    parser.add_argument(
-        "--epsilon",
-        help="success margin: 'paper' (dimension-tied) or a number in (0, pi/2]",
-    )
-    parser.add_argument(
-        "--exact-step",
-        action=argparse.BooleanOptionalAction,
-        help="rescale each stride so the realized distance matches exactly",
-    )
-    parser.add_argument("--seed", type=int, help="64-bit master seed (default 0)")
-    parser.add_argument("--workers", type=int, help="process count (default 1)")
-    parser.add_argument("--out", help="output file path (default: stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
+    for key, (parse, _) in _OPTIONS.items():
+        flag = "--" + key.replace("_", "-")
+        if parse is _parse_bool:
+            parser.add_argument(flag, action=argparse.BooleanOptionalAction, help=_help(key))
+        else:
+            parser.add_argument(flag, help=_help(key))
     parser.add_argument("--config", help="key = value file; flags take precedence")
-    parser.add_argument(
-        "--j-over-h-hz", type=float, help="qubit coupling frequency in Hz (default 5e9)"
-    )
-    parser.add_argument(
-        "--t-decoherence-s", type=float, help="decoherence time in seconds (default 1e-8)"
-    )
-    parser.add_argument(
-        "--t-evolution-s", type=float, help="total evolution time in seconds (default 5e-6)"
-    )
-    parser.add_argument(
-        "--c-constant", type=float, help="heuristic margin constant (default 1)"
-    )
     parser.add_argument(
         "--version", action="version", version=f"%(prog)s {__version__}"
     )
@@ -777,44 +715,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    merged = dict(_DEFAULTS)
-    if args.config is not None:
-        merged.update(_read_config_file(args.config))
-    for key in _DEFAULTS:
-        flag = getattr(args, key.replace("-", "_"), None)
-        if flag is not None:
-            merged[key] = flag
-    if merged["experiment"] is None:
+    """Merge the config file and the flags given (flags win) into a config."""
+    given = dict(vars(args))
+    values = _read_config_file(given.pop("config")) if "config" in given else {}
+    for key, value in given.items():
+        # flags arrive as text, except --[no-]exact-step as a bool
+        values[key] = _parse_option(key, str(value), "--" + key.replace("_", "-"))
+    if "experiment" not in values:
         raise UsageError("experiment: required (flag --experiment or config file)")
-    epsilon_text = merged["epsilon"]
-    if epsilon_text == "paper":
-        epsilon_mode, epsilon = "paper", None
-    else:
-        try:
-            epsilon = float(epsilon_text)
-        except ValueError as exc:
-            raise UsageError(
-                f"epsilon: expected 'paper' or a number, got {epsilon_text!r}"
-            ) from exc
-        epsilon_mode = "fixed"
-    return ExperimentConfig(
-        kind=merged["experiment"],
-        qubits=tuple(merged["qubits"]),
-        steps=tuple(merged["steps"]),
-        trials=merged["trials"],
-        samples=merged["samples"],
-        epsilon_mode=epsilon_mode,
-        epsilon=epsilon,
-        exact_step=bool(merged["exact_step"]),
-        seed=merged["seed"],
-        workers=merged["workers"],
-        out=merged["out"],
-        format=merged["format"],
-        j_over_h_hz=merged["j_over_h_hz"],
-        t_decoherence_s=merged["t_decoherence_s"],
-        t_evolution_s=merged["t_evolution_s"],
-        c_constant=merged["c_constant"],
-    )
+    values["kind"] = values.pop("experiment")
+    if "epsilon" in values:
+        values["epsilon_mode"], values["epsilon"] = values.pop("epsilon")
+    return ExperimentConfig(**values)
 
 
 def main(argv=None) -> int:
@@ -824,28 +736,19 @@ def main(argv=None) -> int:
     preconditions such as percolation clouds of fewer than two points),
     1 for runtime failures.
     """
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         config = _config_from_args(args)
-    except (UsageError, InsufficientPointsError) as exc:
-        print(f"qspan: error: {exc}", file=sys.stderr)
-        return 2
-    try:
         result = run_experiment(config)
-    except (UsageError, InsufficientPointsError) as exc:
-        print(f"qspan: error: {exc}", file=sys.stderr)
-        return 2
-    except (ExperimentFailureError, FitError, FileError) as exc:
-        print(f"qspan: failed: {exc}", file=sys.stderr)
-        return 1
-    try:
         if config.out is None:
             sys.stdout.write(render(result, config.format))
         else:
             emit(result, config.format, config.out)
             print(f"qspan: wrote {config.out} ({len(result.rows)} rows)", file=sys.stderr)
-    except FileError as exc:
+    except (UsageError, InsufficientPointsError) as exc:
+        print(f"qspan: error: {exc}", file=sys.stderr)
+        return 2
+    except (ExperimentFailureError, FitError, FileError, BrokenProcessPool) as exc:
         print(f"qspan: failed: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -1,11 +1,14 @@
 """Tests for the experiment runner and serialization (qspan.cli)."""
 
 import math
+import multiprocessing
+import os
 import subprocess
 import sys
 
 import pytest
 
+from qspan import cli
 from qspan.cli import (
     ExperimentConfig,
     ResultSet,
@@ -288,3 +291,130 @@ class TestMain:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip().startswith("qspan ")
+
+
+class TestOutOfRangeInputs:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--experiment", "walk-critical", "--trials", "1", "--epsilon", "5"],
+            ["--experiment", "walk-critical", "--trials", "1", "--epsilon", "nan"],
+            ["--experiment", "walk-critical", "--trials", "1", "--epsilon", "inf"],
+            ["--experiment", "walk-critical", "--trials", "1", "--epsilon", "0"],
+            ["--experiment", "fit", "--trials", "2", "--steps", "3,5", "--epsilon", "1.6"],
+            ["--experiment", "concentration", "--samples", "10", "--epsilon", "0.1"],
+            ["--experiment", "concentration", "--samples", "1000", "--epsilon", "-1"],
+            ["--experiment", "concentration", "--samples", "1000", "--epsilon", "nan"],
+            ["--experiment", "accessibility", "--epsilon=-inf"],
+        ],
+    )
+    def test_usage_error(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("qspan: error: ")
+        assert "Traceback" not in err
+
+    def test_walk_bound_is_pi_over_two(self):
+        ExperimentConfig(kind="walk-critical", trials=1, epsilon_mode="fixed", epsilon=math.pi / 2)
+        with pytest.raises(UsageError, match="epsilon"):
+            ExperimentConfig(
+                kind="walk-critical", trials=1, epsilon_mode="fixed", epsilon=math.pi / 2 + 1e-9
+            )
+
+    def test_concentration_deviation_may_exceed_pi_over_two(self):
+        ExperimentConfig(kind="concentration", samples=1000, epsilon_mode="fixed", epsilon=2.0)
+        ExperimentConfig(kind="fit", samples=5, epsilon_mode="fixed", epsilon=2.0)
+
+
+class TestConfigFileBooleans:
+    def _exact_step(self, tmp_path, text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"experiment = accessibility\nqubits = 10\nexact_step = {text}\n")
+        out = tmp_path / "a.csv"
+        code = main(["--config", str(cfg), "--out", str(out)])
+        return code, (read_result(str(out)).metadata["config"]["exact_step"] if code == 0 else None)
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [("1", True), ("TRUE", True), ("Yes", True), ("on", True),
+         ("0", False), ("false", False), ("NO", False), ("Off", False)],
+    )
+    def test_accepted_spellings(self, tmp_path, text, value):
+        assert self._exact_step(tmp_path, text) == (0, value)
+
+    @pytest.mark.parametrize("text", ["banana", "", "2", "truthy"])
+    def test_other_text_is_usage_error(self, tmp_path, text, capsys):
+        assert self._exact_step(tmp_path, text) == (2, None)
+        assert capsys.readouterr().err.startswith("qspan: error: config: ")
+
+
+def _exit_worker(*args, **kwargs):
+    os._exit(3)
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the patched trial function reaches the workers only through fork",
+)
+def test_crashed_worker_is_runtime_failure(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "critical_step_for_trial", _exit_worker)
+    code = main(["--experiment", "walk-critical", "--trials", "2", "--workers", "2"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("qspan: failed: ")
+
+
+#: A valid value for every option, as config-file text, each one unlike
+#: the value the base run gets without it.
+OPTION_VALUES = {
+    "experiment": "accessibility",
+    "qubits": "2,3",
+    "steps": "4,5",
+    "trials": "3",
+    "samples": "2000",
+    "epsilon": "0.25",
+    "exact_step": "true",
+    "seed": "9",
+    "workers": "2",
+    "out": "x.csv",
+    "format": "json",
+    "j_over_h_hz": "1e9",
+    "t_decoherence_s": "2e-8",
+    "t_evolution_s": "1e-6",
+    "c_constant": "2.5",
+}
+BASE_OPTIONS = {"experiment": "concentration", "samples": "1000", "epsilon": "0.5"}
+
+
+def _config_from_flags(values: dict) -> ExperimentConfig:
+    argv = []
+    for key, text in values.items():
+        flag = "--" + key.replace("_", "-")
+        argv += [flag] if key == "exact_step" else [flag, text]
+    return cli._config_from_args(cli._build_parser().parse_args(argv))
+
+
+def _config_from_file(values: dict, path) -> ExperimentConfig:
+    path.write_text("".join(f"{key} = {text}\n" for key, text in values.items()))
+    return cli._config_from_args(cli._build_parser().parse_args(["--config", str(path)]))
+
+
+class TestOptionTable:
+    def test_every_option_has_a_value_here(self):
+        assert set(OPTION_VALUES) == set(cli._OPTIONS)
+
+    @pytest.mark.parametrize("key", sorted(OPTION_VALUES))
+    def test_flag_and_config_file_agree(self, key, tmp_path):
+        values = {**BASE_OPTIONS, key: OPTION_VALUES[key]}
+        by_flag = _config_from_flags(values)
+        assert by_flag == _config_from_file(values, tmp_path / "run.cfg")
+        assert by_flag != _config_from_flags(BASE_OPTIONS)
+
+    @pytest.mark.parametrize("key", sorted(OPTION_VALUES))
+    def test_help_lists_option(self, key):
+        assert "--" + key.replace("_", "-") in cli._build_parser().format_help()
+
+    def test_dashed_config_keys(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("experiment = accessibility\nj-over-h-hz = 1e9\n")
+        config = cli._config_from_args(cli._build_parser().parse_args(["--config", str(path)]))
+        assert config.j_over_h_hz == 1e9
