@@ -469,7 +469,7 @@ def _row_columns(metadata: dict) -> tuple:
 
 
 def _json_text(obj) -> str:
-    """Compact JSON with floats at 17 significant digits."""
+    """Compact JSON with floats at 17 significant digits, always read back as floats."""
     if obj is None:
         return "null"
     if obj is True:
@@ -481,7 +481,9 @@ def _json_text(obj) -> str:
     if isinstance(obj, float):
         if not math.isfinite(obj):
             return "null"
-        return format(obj, ".17g")
+        text = format(obj, ".17g")
+        # an integral float needs a marker to be read back as a float
+        return text if "." in text or "e" in text else text + ".0"
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, dict):

@@ -214,6 +214,20 @@ class TestSerialization:
         assert "73680.629972807699" in text
 
 
+class TestFloatEcho:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_integral_floats_read_back_as_floats(self, tmp_path, fmt):
+        res = run_experiment(ExperimentConfig(kind="accessibility", qubits=(10,)))
+        path = str(tmp_path / f"a.{fmt}")
+        emit(res, fmt, path)
+        config = read_result(path).metadata["config"]
+        for name in ("j_over_h_hz", "t_decoherence_s", "t_evolution_s", "c_constant"):
+            assert type(config[name]) is float
+            assert config[name] == res.metadata["config"][name]
+        assert type(config["seed"]) is int
+        assert '"j_over_h_hz": 5000000000.0' in render(res, "csv")
+
+
 class TestConfigFile:
     def test_file_provides_defaults_flags_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -332,7 +346,9 @@ class TestConfigFileBooleans:
         cfg.write_text(f"experiment = accessibility\nqubits = 10\nexact_step = {text}\n")
         out = tmp_path / "a.csv"
         code = main(["--config", str(cfg), "--out", str(out)])
-        return code, (read_result(str(out)).metadata["config"]["exact_step"] if code == 0 else None)
+        if code != 0:
+            return code, None
+        return code, read_result(str(out)).metadata["config"]["exact_step"]
 
     @pytest.mark.parametrize(
         "text, value",

@@ -7,7 +7,8 @@ reproducibility contract: (seed, config) gives identical rows, so a
 change to the walk or percolation kernels that moves a single bit fails
 here.
 
-Regenerate them only for a deliberate change of the random stream:
+Regenerate them only for a deliberate change of the random stream or
+the file format:
 
     PYTHONPATH=src python tests/test_golden.py
 """
