@@ -179,8 +179,8 @@ class ExperimentConfig:
         if self.format not in ("csv", "json"):
             raise UsageError(f"format: expected csv or json, got {self.format!r}")
         for name in ("j_over_h_hz", "t_decoherence_s", "t_evolution_s", "c_constant"):
-            if not getattr(self, name) > 0:
-                raise UsageError(f"{name}: must be positive, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise UsageError(f"{name}: must be finite and positive, got {getattr(self, name)}")
 
         if self.kind == "walk-critical" and self.trials is None:
             raise UsageError("trials: walk-critical needs --trials")

@@ -320,6 +320,9 @@ class TestOutOfRangeInputs:
             ["--experiment", "concentration", "--samples", "1000", "--epsilon", "-1"],
             ["--experiment", "concentration", "--samples", "1000", "--epsilon", "nan"],
             ["--experiment", "accessibility", "--epsilon=-inf"],
+            ["--experiment", "accessibility", "--j-over-h-hz", "inf"],
+            ["--experiment", "accessibility", "--t-evolution-s", "inf"],
+            ["--experiment", "accessibility", "--c-constant", "nan"],
         ],
     )
     def test_usage_error(self, argv, capsys):
