@@ -83,6 +83,14 @@ class UsageError(ValueError):
     """The supplied configuration cannot be run."""
 
 
+class FileError(RuntimeError):
+    """An output file could not be written or an input file read."""
+
+    def __init__(self, path: str, reason: str):
+        super().__init__(f"{path}: {reason}")
+        self.path = path
+
+
 def _row_kind(kind: str, trials) -> str:
     """The experiment whose rows a run of ``kind`` writes.
 
@@ -92,14 +100,6 @@ def _row_kind(kind: str, trials) -> str:
     if kind != "fit":
         return kind
     return "walk-critical" if trials is not None else "percolation-critical"
-
-
-class FileError(RuntimeError):
-    """An output file could not be written or an input file read."""
-
-    def __init__(self, path: str, reason: str):
-        super().__init__(f"{path}: {reason}")
-        self.path = path
 
 
 def _int_tuple(value, field: str) -> tuple[int, ...]:
