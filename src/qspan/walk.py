@@ -82,6 +82,8 @@ _MAX_BATCH = 32
 #: large p a stacked eigh costs the same per probe as a single one, so
 #: batching there gains nothing and would only multiply memory.
 _MAX_BATCH_ENTRIES = 2**15
+#: Ray scales the exact-step bracket scan evaluates per call.
+_SCAN_CHUNK = 8
 
 
 def paper_epsilon(qubits: int) -> float:
@@ -202,32 +204,41 @@ def _exact_stride(
 ) -> np.ndarray:
     """Rescale the displacement so the realized distance equals delta_s.
 
-    Scans outward along the ray theta + c * d_theta until the realized
-    distance from the amplitudes ``a`` crosses the target, then
-    root-finds the crossing (relative accuracy much better than 1e-6).
-    Strides near pi/2 may not be realizable along a given ray at all; in
-    that case the step falls back to the scale that maximizes the
-    realized distance.  Returns the amplitudes of the new point.
+    Scans outward along the ray theta + c * d_theta, c = 0.25, 0.5, ...,
+    until the realized distance from the amplitudes ``a`` crosses the
+    target, then root-finds the crossing (relative accuracy much better
+    than 1e-6).  The scan evaluates ``_SCAN_CHUNK`` scales per call; each
+    row is computed as a lone row would be, so the bracket handed to the
+    root find does not depend on the chunk size.  Strides near pi/2 may
+    not be realizable along a given ray at all; in that case the step
+    falls back to the scale that maximizes the realized distance.
+    Returns the amplitudes of the new point.
     """
 
-    def moved(c: float) -> np.ndarray:
-        return _amplitudes((theta + c * d_theta)[None])
+    def moved(c) -> np.ndarray:
+        return _amplitudes(theta + np.reshape(c, (-1, 1)) * d_theta)
 
     def realized(c: float) -> float:
         return float(_fs_distances(a, moved(c))[0])
 
+    scales = np.arange(0.25, 64.25, 0.25)
     lo = 0.0
-    for hi in np.arange(0.25, 64.25, 0.25):
-        at_hi = realized(hi)
-        if at_hi >= delta_s:
-            if at_hi == delta_s:
+    for start in range(0, scales.size, _SCAN_CHUNK):
+        chunk = scales[start:start + _SCAN_CHUNK]
+        at = _fs_distances(a, moved(chunk))
+        crossed = np.flatnonzero(at >= delta_s)
+        if crossed.size:
+            i = crossed[0]
+            hi = chunk[i]
+            lo = float(chunk[i - 1]) if i else lo
+            if at[i] == delta_s:
                 c = float(hi)
             else:
                 c = float(
                     brentq(lambda x: realized(x) - delta_s, lo, hi, xtol=1e-12, rtol=1e-14)
                 )
             return moved(c)[0]
-        lo = float(hi)
+        lo = float(chunk[-1])
     best = minimize_scalar(
         lambda x: -realized(x), bounds=(0.0, 64.0), method="bounded",
         options={"xatol": 1e-9},
