@@ -41,7 +41,7 @@ from .percolation import (
     InsufficientPointsError,
     critical_threshold_sample,
 )
-from .walk import critical_step_for_trial
+from .walk import WALK_STREAM, critical_step_for_trial
 
 __all__ = [
     "EXPERIMENT_KINDS",
@@ -208,7 +208,8 @@ class ResultSet:
     """Rows plus the metadata needed to regenerate them.
 
     ``metadata`` carries the experiment kind, artifact version, master
-    seed, wall-clock seconds, and a full echo of the configuration.
+    seed, wall-clock seconds, and a full echo of the configuration; walk
+    rows also record the walk's ``walk_stream`` version.
     ``rows`` are plain dicts with an experiment-specific fixed key
     order; ``fits`` are summary dicts, empty unless a fit was requested.
     """
@@ -411,6 +412,8 @@ def run_experiment(config: ExperimentConfig) -> ResultSet:
         "wall_clock_s": time.perf_counter() - start,
         "config": config.as_dict(),
     }
+    if survey == "walk-critical":
+        metadata["walk_stream"] = WALK_STREAM
     if config.kind == "fit":
         metadata["fit_weighting"] = "unweighted"
     return ResultSet(metadata=metadata, rows=tuple(rows), fits=tuple(fits))

@@ -2,8 +2,8 @@
 
 A walk starts from a Haar-random state of dimension D = 2**qubits and
 takes ``steps`` tangent steps of fixed Fubini-Study length ``delta_s``,
-each along a fresh uniformly random direction of the local metric
-eigenframe.  After every step the span
+each along a fresh random direction, uniform with respect to the local
+metric.  After every step the span
 
     L_t = fs_distance(walker, start)
 
@@ -20,14 +20,17 @@ from the trial's initial state reaches the far edge, located by probing
 an ascending stride grid with fresh step directions per probe; see
 :func:`critical_step_for_trial`.
 
-:func:`run_walk` is the validated public walk, built from the
-:mod:`qspan.hilbert` types.  The probe scan instead runs a private
-kernel on raw arrays that walks several consecutive probes of a trial in
-lockstep.  The kernel repeats the floating-point operations of
-``to_coords``, ``metric_tensor``, ``random_tangent_step``,
-``state_from_angles`` and ``fs_distance`` one for one, and draws the
-directions in the order a probe-by-probe scan draws them, so its strides
-equal those of a scan built from :func:`run_walk` bit for bit.
+Both :func:`run_walk` (the validated public walk) and the probe scan
+run one private kernel on raw arrays, which walks a batch of K walkers
+in lockstep.  Its chart steps repeat ``to_coords``, ``state_from_angles``
+and ``fs_distance`` of :mod:`qspan.hilbert`; its tangent draw uses the
+block structure of the metric to sample in O(D) what
+``metric_tensor`` + ``random_tangent_step`` sample through an O(D^3)
+eigendecomposition (see :func:`_tangent`; those two stay as its test
+oracle).  The scan draws the directions in the order a probe-by-probe
+scan draws them, so its strides equal those of a scan built from
+:func:`run_walk` bit for bit.  The draw defines walk stream
+:data:`WALK_STREAM`, recorded in the metadata of walk results.
 """
 
 from __future__ import annotations
@@ -39,17 +42,7 @@ import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
 from ._seeds import spawn
-from .hilbert import (
-    DEGENERACY_TOL,
-    HALF_PI,
-    StateVector,
-    fs_distance,
-    metric_tensor,
-    random_state,
-    random_tangent_step,
-    state_from_angles,
-    to_coords,
-)
+from .hilbert import HALF_PI, StateVector, fs_distance, random_state
 
 __all__ = [
     "WalkConfig",
@@ -74,14 +67,15 @@ BRACKET_REL_WIDTH = 1e-3
 
 EPSILON_MODES = ("paper", "fixed")
 
+#: Version of the random stream walks draw their directions from.  It
+#: changes whenever a (seed, config) pair would give other walk rows;
+#: result files that do not record it are stream 1 (the eigenframe draw).
+WALK_STREAM = 2
+
 #: Most probes the scan walks in lockstep.  Batches start at one probe
 #: and double up to this, so the probes walked past a trial's success
 #: stay fewer than the probes it needed.
 _MAX_BATCH = 32
-#: Most metric entries (probes * p * p) one lockstep step holds.  At
-#: large p a stacked eigh costs the same per probe as a single one, so
-#: batching there gains nothing and would only multiply memory.
-_MAX_BATCH_ENTRIES = 2**15
 #: Ray scales the exact-step bracket scan evaluates per call.
 _SCAN_CHUNK = 8
 
@@ -166,37 +160,32 @@ def run_walk(
 ) -> WalkRecord:
     """Walk ``config.steps`` strides from ``initial`` and record spans.
 
-    Each step: express the walker in chart coordinates, eigendecompose
-    the metric there, draw a random tangent direction of length delta_s,
-    displace the angles, and renormalize.  spans[0] is 0 and spans[t]
-    the Fubini-Study distance of the walker after t steps back to the
-    start.  Given the same initial state and generator state the record
-    is reproduced bit for bit.
+    Each step: express the walker in chart coordinates, draw a random
+    tangent displacement of metric length delta_s, displace the angles,
+    and renormalize.  spans[0] is 0 and spans[t] the Fubini-Study
+    distance of the walker after t steps back to the start.  The steps
+    run on the probe scan's kernel, one walker at a time, drawing 2(D-1)
+    normals per step from ``rng`` (again, should a draw vanish).  Given
+    the same initial state and generator state the record is reproduced
+    bit for bit.
     """
     if initial.dim != config.dim:
         raise ValueError(
             f"initial state dimension {initial.dim} does not match config ({config.dim})"
         )
+    a = initial.amplitudes
+    p = 2 * (a.size - 1)
+    stride = np.array([config.delta_s])
     spans = np.zeros(config.steps + 1)
-    state = initial
+    amps = a[None]
     for t in range(1, config.steps + 1):
-        state = _advance(state, config.delta_s, config.exact_step, rng)
-        spans[t] = fs_distance(initial, state)
+        amps = _lockstep(
+            amps[0], stride, 1, config.exact_step,
+            lambda _: rng.standard_normal((1, p)), redraw=True,
+        )
+        spans[t] = _fs_distances(a, amps)[0]
     reached = (HALF_PI - spans[-1]) <= config.epsilon
     return WalkRecord(spans=spans, reached=bool(reached))
-
-
-def _advance(
-    state: StateVector, delta_s: float, exact_step: bool, rng: np.random.Generator
-) -> StateVector:
-    # Every chart point has an active direction: g_00 = 1, so max(h) >= 1.
-    coords = to_coords(state)
-    step = random_tangent_step(metric_tensor(coords), delta_s, rng)
-    if exact_step:
-        return StateVector(
-            _exact_stride(state.amplitudes, coords.theta, step.d_theta, delta_s)
-        )
-    return state_from_angles(coords.theta + step.d_theta)
 
 
 def _exact_stride(
@@ -246,18 +235,22 @@ def _exact_stride(
     return moved(float(best.x))[0]
 
 
-# --- lockstep probe kernel ---------------------------------------------------
+# --- walk kernel -------------------------------------------------------------
 #
-# Raw-array twins of the hilbert chart functions, over a leading batch
-# axis of K walkers.  Each repeats its twin's floating-point operations
-# in the same order; the row dot products go through matmul on
-# (K, 1, n) @ (K, n, 1) stacks, which calls the same BLAS dot per row as
-# the 1-d ``dot`` inside ``np.linalg.norm``.
+# Raw-array forms of the hilbert chart functions, over a leading batch
+# axis of K walkers.  Every operation acts on each row alone (row dot
+# products go through matmul on (K, 1, n) @ (K, n, 1) stacks, one BLAS
+# dot per row), so a row's bits do not depend on the batch it sits in.
+
+
+def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise x . y of real (K, n) arrays."""
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
 
 
 def _sq_norms(x: np.ndarray) -> np.ndarray:
     """Row-wise x . x of a real (K, n) array."""
-    return (x[:, None, :] @ x[:, :, None])[:, 0, 0]
+    return _dots(x, x)
 
 
 def _amplitudes(theta: np.ndarray) -> np.ndarray:
@@ -281,9 +274,11 @@ def _fs_distances(a: np.ndarray, amps: np.ndarray) -> np.ndarray:
 
 
 def _chart(amps: np.ndarray):
-    """``to_coords`` then ``metric_tensor``: angles, eigenframe, active mask."""
-    k, d = amps.shape
-    n = d - 1
+    """``to_coords`` on (K, D) amplitudes: angles, moduli m and tail norms t.
+
+    m holds the moduli once the global phase is fixed, and t_k the norm
+    of (m_k, ..., m_{D-1}); the metric at the angles is read off both.
+    """
     last = amps[:, -1:]
     a = np.where(last != 0, amps * np.exp(-1j * np.angle(last)), amps)
     m = np.abs(a)
@@ -291,43 +286,56 @@ def _chart(amps: np.ndarray):
     mag = np.arctan2(tail[:, 1:], m[:, :-1])
     ph = np.where(m[:, :-1] == 0.0, 0.0, np.mod(np.angle(a[:, :-1]), 2 * np.pi))
     ph[ph >= 2 * np.pi] = 0.0
-    theta = np.concatenate((mag, ph), axis=1)
-
-    sin_sq = np.sin(mag) ** 2
-    prefix = np.cumprod(np.concatenate((np.ones((k, 1)), sin_sq[:, :-1]), axis=1), axis=1)
-    v = prefix * np.cos(mag) ** 2
-    diag = np.arange(n)
-    g = np.zeros((k, 2 * n, 2 * n))
-    g[:, diag, diag] = prefix
-    phase = np.zeros((k, n, n))
-    phase[:, diag, diag] = v
-    g[:, n:, n:] = phase - v[:, :, None] * v[:, None, :]
-    h, vecs = np.linalg.eigh(g)
-    active = h >= DEGENERACY_TOL * h[:, -1:]
-    return theta, h, vecs, active
+    return np.concatenate((mag, ph), axis=1), m, tail
 
 
-def _lockstep(a, strides, steps, exact_step, directions):
-    """Final spans of walks from ``a``, one per stride, stepped together.
+def _tangent(m, tail, strides, xi):
+    """Chart displacements of metric length ``strides`` along the normals ``xi``.
 
-    ``directions(t, active)`` returns step t's unit directions, zero on
-    the degenerate eigen-directions, or None to abandon the batch.  With
-    ``exact_step`` the batch holds a single probe.
+    In the notation of :func:`qspan.hilbert.metric_tensor` the magnitude
+    block is diag(P) with P_k = t_k**2, and the phase block is
+    A = diag(v) - v v^T with v = m**2 over the first D - 1 moduli.  With
+    m_D the last modulus, 1 - sum(v) = m_D**2 and Sherman-Morrison gives
+    A^-1 = diag(1/v) + 1 1^T / m_D**2 = S S^T for
+
+        S = diag(1/sqrt(v)) + 1 sqrt(v)^T / (m_D (1 + m_D)),
+
+    so with u = xi / |xi| the displacement
+
+        d_theta = stride * (u_mag / t, S u_ph)
+
+    has d_theta^T g d_theta = stride**2 exactly.  It is the eigenframe
+    draw of :func:`qspan.hilbert.random_tangent_step` up to a rotation
+    of u, hence equal in distribution, at O(D) cost instead of an O(D^3)
+    eigendecomposition.  Directions with P_k = 0 or v_d = 0 carry no
+    metric length and get no share of xi.  Where m_D = 0, A is singular
+    along the global phase; u_ph then comes from the projection
+    (I - sqrt(v) sqrt(v)^T) xi_ph, for which d_ph = stride * u_ph / sqrt(v)
+    has the same metric length.
+
+    Returns None when some row of the masked draw vanishes.
     """
-    amps = np.broadcast_to(a, (strides.size, a.size))
-    for t in range(steps):
-        theta, h, vecs, active = _chart(amps)
-        u = directions(t, active)
-        if u is None:
-            return None
-        scaled = np.zeros(u.shape)
-        scaled[active] = (strides[:, None] * u)[active] / np.sqrt(h[active])
-        d_theta = (vecs @ scaled[:, :, None])[:, :, 0]
-        if exact_step:
-            amps = _exact_stride(amps[0], theta[0], d_theta[0], strides[0])[None]
-        else:
-            amps = _amplitudes(theta + d_theta)
-    return _fs_distances(a, amps)
+    n = m.shape[1] - 1
+    root_p, root_v, last = tail[:, :n], m[:, :n], m[:, n:]
+    xi = np.where(np.concatenate((root_p, root_v), axis=1) > 0.0, xi, 0.0)
+    edge = last == 0.0
+    if edge.any():
+        ph = xi[:, n:]
+        xi[:, n:] = np.where(edge, ph - root_v * _dots(root_v, ph)[:, None], ph)
+    u = _unit_rows(xi)
+    if u is None:
+        return None
+    d = strides[:, None] * u
+    d_ph = d[:, n:]
+    safe_last = np.where(edge, 1.0, last)
+    shift = np.where(edge, 0.0, _dots(root_v, d_ph)[:, None] / (safe_last * (1.0 + safe_last)))
+    return np.concatenate(
+        (
+            d[:, :n] / np.where(root_p > 0.0, root_p, 1.0),
+            d_ph / np.where(root_v > 0.0, root_v, 1.0) + shift,
+        ),
+        axis=1,
+    )
 
 
 def _unit_rows(u: np.ndarray) -> np.ndarray | None:
@@ -335,10 +343,33 @@ def _unit_rows(u: np.ndarray) -> np.ndarray | None:
     return u / norm[:, None] if norm.all() else None
 
 
+def _lockstep(a, strides, steps, exact_step, normals, redraw=False):
+    """Amplitudes of walks from ``a``, one per stride, after ``steps`` steps.
+
+    ``normals(t)`` returns a (K, 2(D - 1)) block of standard normals for
+    step t.  When the block vanishes on some walker's active directions
+    it is drawn again with ``redraw``; otherwise the walks are abandoned
+    and None is returned.  With ``exact_step`` the batch holds one walk.
+    """
+    amps = np.broadcast_to(a, (strides.size, a.size))
+    for t in range(steps):
+        theta, m, tail = _chart(amps)
+        d_theta = _tangent(m, tail, strides, normals(t))
+        while d_theta is None and redraw:
+            d_theta = _tangent(m, tail, strides, normals(t))
+        if d_theta is None:
+            return None
+        if exact_step:
+            amps = _exact_stride(amps[0], theta[0], d_theta[0], strides[0])[None]
+        else:
+            amps = _amplitudes(theta + d_theta)
+    return amps
+
+
 def _probe_batch(a, strides, steps, exact_step, rng):
     """Final spans of the probes at ``strides``, in grid order.
 
-    The batch draws all its directions at once as a (K, steps, p) block,
+    The batch draws all its normals at once as a (K, steps, p) block,
     the same variates K * steps sequential draws of p give.  A draw that
     vanishes on every active direction (probability ~0) is redrawn by
     the sequential scan, which shifts the rest of the stream; the batch
@@ -348,23 +379,17 @@ def _probe_batch(a, strides, steps, exact_step, rng):
     p = 2 * (a.size - 1)
     saved = rng.bit_generator.state
     normals = rng.standard_normal((strides.size, steps, p))
-    final = _lockstep(
-        a, strides, steps, exact_step,
-        lambda t, active: _unit_rows(np.where(active, normals[:, t], 0.0)),
-    )
-    if final is not None:
-        return final
-
-    def stepwise(t, active):
-        u = None
-        while u is None:
-            u = _unit_rows(np.where(active, rng.standard_normal((1, p)), 0.0))
-        return u
-
-    rng.bit_generator.state = saved
-    return np.concatenate(
-        [_lockstep(a, strides[i:i + 1], steps, exact_step, stepwise) for i in range(strides.size)]
-    )
+    final = _lockstep(a, strides, steps, exact_step, lambda t: normals[:, t])
+    if final is None:
+        rng.bit_generator.state = saved
+        final = np.concatenate([
+            _lockstep(
+                a, strides[i:i + 1], steps, exact_step,
+                lambda _: rng.standard_normal((1, p)), redraw=True,
+            )
+            for i in range(strides.size)
+        ])
+    return _fs_distances(a, final)
 
 
 @dataclass(frozen=True)
@@ -400,9 +425,8 @@ def critical_step_for_trial(
     pi/2 and flagged, to be excluded from averages by the caller.
 
     Consecutive probes run in lockstep batches of 1, 2, 4, ... up to 32
-    walks, fewer at large dimension (one probe at a time with
-    ``exact_step``, whose per-step root find does not batch); a batch
-    that contains a success ends the scan
+    walks (one probe at a time with ``exact_step``, whose per-step root
+    find does not batch); a batch that contains a success ends the scan
     at its first success in grid order, and the probes after it are
     discarded.  The batch draws its directions in probe order, so the
     result equals, bit for bit, that of a scan that walks each probe
@@ -437,8 +461,7 @@ def critical_step_for_trial(
     init_ss, dir_ss = spawn(trial_seed, 2)
     a = random_state(2**qubits, np.random.default_rng(init_ss)).amplitudes
     rng = np.random.default_rng(dir_ss)
-    p = 2 * (a.size - 1)
-    cap = 1 if exact_step else max(1, min(_MAX_BATCH, _MAX_BATCH_ENTRIES // p**2))
+    cap = 1 if exact_step else _MAX_BATCH
     done = 0
     size = 1
     while done < strides.size:

@@ -148,6 +148,20 @@ class TestRunExperiment:
         res = run_experiment(ExperimentConfig(**WALK))
         assert "fit_weighting" not in res.metadata
 
+    @pytest.mark.parametrize(
+        "config, stream",
+        [
+            (WALK, 2),
+            (dict(kind="fit", qubits=(1,), steps=(3, 5), trials=2), 2),
+            (dict(kind="fit", qubits=(2,), steps=(3, 5), samples=2), None),
+            (dict(kind="percolation-critical", qubits=(2,), steps=(3,), samples=2), None),
+            (dict(kind="accessibility", qubits=(100,)), None),
+        ],
+    )
+    def test_walk_rows_record_their_stream_version(self, config, stream):
+        metadata = run_experiment(ExperimentConfig(**config)).metadata
+        assert metadata.get("walk_stream") == stream
+
 
 class TestSerialization:
     def _walk_result(self):

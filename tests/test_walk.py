@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qspan.hilbert import StateVector, fs_distance, random_state
+from qspan.hilbert import StateVector, fs_distance, metric_tensor, random_state, to_coords
 from qspan.walk import (
+    _chart,
+    _tangent,
     BRACKET_REL_WIDTH,
     CriticalStepResult,
     HeuristicModel,
@@ -128,6 +130,72 @@ class TestRunWalk:
         expected = (1 + math.cos(2 * delta_s) ** steps) / 2
         se = overlap_sq.std(ddof=1) / math.sqrt(n_walks)
         assert abs(overlap_sq.mean() - expected) <= 4 * se
+
+
+#: States on the chart's edges: the last amplitude zero (m_D = 0), with
+#: and without further zeros, and a zero interior amplitude (v_d = 0).
+EDGE_STATES = {
+    "basis": [1, 0, 0, 0],
+    "last-zero": [0.6, 0.8j, 0, 0],
+    "last-and-interior-zero": [0.6, 0, 0.8, 0],
+    "interior-zero": [0.6, 0, 0.48j, 0.64],
+}
+
+
+def tangent_draws(amplitudes, delta_s, k, seed):
+    """k chart displacements of the walk kernel at one state."""
+    a = np.asarray(amplitudes, dtype=complex)
+    _, m, tail = _chart(np.broadcast_to(a, (k, a.size)))
+    xi = np.random.default_rng(seed).standard_normal((k, 2 * (a.size - 1)))
+    return _tangent(m, tail, np.full(k, delta_s), xi)
+
+
+def metric_at(amplitudes):
+    return metric_tensor(to_coords(StateVector.from_array(amplitudes))).g
+
+
+class TestTangentSampler:
+    """The closed-form draw against the eigendecomposed metric of qspan.hilbert."""
+
+    @pytest.mark.parametrize("dim", [2, 4, 16])
+    def test_metric_length_equals_stride(self, dim):
+        a = random_state(dim, np.random.default_rng(dim)).amplitudes
+        d = tangent_draws(a, 0.3, 50, seed=1)
+        lengths = np.einsum("ki,ij,kj->k", d, metric_at(a), d)
+        np.testing.assert_allclose(lengths, 0.3**2, rtol=1e-10)
+
+    @pytest.mark.parametrize("name", sorted(EDGE_STATES))
+    def test_metric_length_on_chart_edges(self, name):
+        a = StateVector.from_array(EDGE_STATES[name]).amplitudes
+        d = tangent_draws(a, 0.3, 50, seed=2)
+        lengths = np.einsum("ki,ij,kj->k", d, metric_at(a), d)
+        np.testing.assert_allclose(lengths, 0.3**2, rtol=1e-10)
+        assert np.all(np.isfinite(d))
+
+    def test_covariance_is_inverse_metric(self):
+        # d_theta = delta * S u with S S^T = g^-1 and u uniform on the unit
+        # sphere of R^p, so cov(d_theta) * p / delta^2 = g^-1.  Entry
+        # tolerance: five standard errors of a Gaussian sample covariance,
+        # which bounds the (smaller) one of a sphere-uniform draw.
+        dim, delta_s, k = 4, 0.5, 20000
+        a = random_state(dim, np.random.default_rng(3)).amplitudes
+        d = tangent_draws(a, delta_s, k, seed=4)
+        p = d.shape[1]
+        cov = d.T @ d / k * p / delta_s**2
+        want = np.linalg.pinv(metric_at(a))
+        se = np.sqrt((np.outer(np.diag(want), np.diag(want)) + want**2) / k)
+        assert np.all(np.abs(cov - want) <= 5 * se)
+
+    @pytest.mark.parametrize("name", sorted(EDGE_STATES))
+    @pytest.mark.parametrize("exact_step", [False, True])
+    def test_walks_from_chart_edges(self, name, exact_step):
+        initial = StateVector.from_array(EDGE_STATES[name])
+        cfg = WalkConfig(qubits=2, steps=12, delta_s=0.3, exact_step=exact_step)
+        rec = run_walk(initial, cfg, np.random.default_rng(10))
+        assert np.all(np.isfinite(rec.spans))
+        assert np.all((rec.spans >= 0.0) & (rec.spans <= HALF_PI))
+        if exact_step:
+            assert rec.spans[1] == pytest.approx(0.3, rel=1e-6)
 
 
 class TestCriticalStep:
@@ -257,7 +325,7 @@ class TestLockstepScan:
 
     @pytest.mark.parametrize(
         "qubits, steps, exact_step",
-        [(2, 3, True), (5, 2, False)],  # one probe per batch; batches capped at 8
+        [(2, 3, True), (5, 2, False)],  # one probe per batch; p = 62
     )
     @pytest.mark.parametrize("seed", [0, 1])
     def test_matches_probe_by_probe_scan_off_the_drawn_grid(
