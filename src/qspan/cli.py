@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -30,6 +31,7 @@ import numpy as np
 from . import __version__
 from .accessibility import DeviceParams, assess
 from .analysis import (
+    _BATCH as _CONCENTRATION_BATCH,
     FitError,
     empirical_concentration,
     fit_exponent_scaling,
@@ -41,7 +43,7 @@ from .percolation import (
     InsufficientPointsError,
     critical_threshold_sample,
 )
-from .walk import WALK_STREAM, critical_step_for_trial
+from .walk import _MAX_BATCH as _WALK_BATCH, WALK_STREAM, critical_step_for_trial
 
 __all__ = [
     "EXPERIMENT_KINDS",
@@ -100,6 +102,33 @@ def _row_kind(kind: str, trials) -> str:
     if kind != "fit":
         return kind
     return "walk-critical" if trials is not None else "percolation-critical"
+
+
+def _physical_memory() -> float:
+    """Bytes of physical memory; infinite where the platform does not say."""
+    try:
+        return float(os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"))
+    except (AttributeError, ValueError, OSError):
+        return math.inf
+
+
+def _largest_array_bytes(config: "ExperimentConfig") -> int:
+    """Bytes of the largest array a run of ``config`` holds at once."""
+    # past 64 qubits every estimate below exceeds any memory anyway
+    dim = 2 ** min(max(config.qubits), 64)
+    survey = _row_kind(config.kind, config.trials)
+    if survey == "walk-critical":
+        # one lockstep batch's (probes, steps, 2(D - 1)) block of normals
+        probes = 1 if config.exact_step else _WALK_BATCH
+        return probes * max(config.steps) * 2 * (dim - 1) * 8
+    if survey == "percolation-critical":
+        # a cloud of D-dimensional complex states and its Gram matrix
+        points = max(config.steps)
+        return points * max(dim, points) * 16
+    if survey == "concentration":
+        # one batch of state pairs, drawn as 2D normals each
+        return min(_CONCENTRATION_BATCH, config.samples) * 2 * 2 * dim * 8
+    return 0
 
 
 def _int_tuple(value, field: str) -> tuple[int, ...]:
@@ -197,6 +226,12 @@ class ExperimentConfig:
             raise UsageError(
                 "fit: give exactly one of --trials (walk strides) or "
                 "--samples (percolation thresholds)"
+            )
+        need, have = _largest_array_bytes(self), _physical_memory()
+        if need > have:
+            raise UsageError(
+                f"memory: the largest array of this run needs {need / 2**30:.3g} GiB, "
+                f"more than the {have / 2**30:.3g} GiB of physical memory"
             )
 
     def as_dict(self) -> dict:

@@ -357,6 +357,62 @@ class TestOutOfRangeInputs:
         ExperimentConfig(kind="fit", samples=5, epsilon_mode="fixed", epsilon=2.0)
 
 
+class TestMemoryGuard:
+    @pytest.fixture(autouse=True)
+    def no_survey_runs(self, monkeypatch):
+        # Should the guard let a run through, fail at once instead of
+        # allocating arrays of 2**40 amplitudes.
+        def refuse(*args, **kwargs):
+            raise AssertionError("survey ran past the memory guard")
+
+        for name in ("critical_step_for_trial", "critical_threshold_sample",
+                     "empirical_concentration"):
+            monkeypatch.setattr(cli, name, refuse)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--experiment", "walk-critical", "--steps", "3", "--trials", "1"],
+            ["--experiment", "walk-critical", "--steps", "3", "--trials", "1", "--exact-step"],
+            ["--experiment", "percolation-critical", "--steps", "5", "--samples", "2"],
+            ["--experiment", "concentration", "--samples", "1000", "--epsilon", "0.1"],
+            ["--experiment", "fit", "--steps", "3,5", "--trials", "1"],
+            ["--experiment", "fit", "--steps", "3,5", "--samples", "2"],
+        ],
+    )
+    def test_forty_qubits_is_a_usage_error(self, argv, capsys):
+        assert main(argv + ["--qubits", "1,40"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("qspan: error: memory: ")
+        assert "Traceback" not in err
+
+    def test_accessibility_allocates_nothing(self, capsys):
+        assert main(["--experiment", "accessibility", "--qubits", "40"]) == 0
+
+    @pytest.mark.parametrize(
+        "config, largest",
+        [
+            # 32 probes * 100 steps * 2(D - 1) float64 normals
+            (dict(kind="walk-critical", qubits=(4,), steps=(100,), trials=1), 32 * 100 * 30 * 8),
+            (dict(kind="walk-critical", qubits=(4,), steps=(100,), trials=1, exact_step=True),
+             100 * 30 * 8),
+            # the larger of (points x 16) complex amplitudes and the points^2 Gram matrix
+            (dict(kind="percolation-critical", qubits=(4,), steps=(8,), samples=1), 8 * 16 * 16),
+            (dict(kind="percolation-critical", qubits=(4,), steps=(200,), samples=1),
+             200 * 200 * 16),
+            # min(8192, samples) pairs of 2D float64 normals
+            (dict(kind="concentration", qubits=(4,), samples=1000, epsilon_mode="fixed",
+                  epsilon=0.1), 1000 * 2 * 32 * 8),
+        ],
+    )
+    def test_refuses_exactly_above_physical_memory(self, monkeypatch, config, largest):
+        monkeypatch.setattr(cli, "_physical_memory", lambda: float(largest))
+        ExperimentConfig(**config)
+        monkeypatch.setattr(cli, "_physical_memory", lambda: float(largest - 1))
+        with pytest.raises(UsageError, match="memory"):
+            ExperimentConfig(**config)
+
+
 class TestConfigFileBooleans:
     def _exact_step(self, tmp_path, text):
         cfg = tmp_path / "run.cfg"
