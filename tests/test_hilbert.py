@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from qspan.hilbert import (
@@ -23,6 +25,23 @@ HALF_PI = np.pi / 2
 
 def ket(*amps):
     return StateVector.from_array(np.asarray(amps, dtype=complex))
+
+
+#: Real or imaginary part of an amplitude: exactly zero often, so chart
+#: edges come up, and otherwise clear of the subnormal range.
+_PART = st.one_of(st.just(0.0), st.floats(-1.0, 1.0).filter(lambda x: abs(x) >= 1e-6))
+
+
+@st.composite
+def states(draw, dim):
+    parts = np.array(draw(st.lists(_PART, min_size=2 * dim, max_size=2 * dim).filter(any)))
+    return StateVector.from_array(parts[0::2] + 1j * parts[1::2])
+
+
+@st.composite
+def state_pairs(draw):
+    dim = draw(st.integers(2, 32))
+    return draw(states(dim)), draw(states(dim))
 
 
 class TestStateVector:
@@ -126,6 +145,15 @@ class TestFsDistance:
         with pytest.raises(ValueError, match="dimension mismatch"):
             fs_distance(ket(1, 0), ket(1, 0, 0))
 
+    @settings(max_examples=100, deadline=None)
+    @given(state_pairs())
+    def test_range_symmetry_and_self_distance(self, pair):
+        a, b = pair
+        d = fs_distance(a, b)
+        assert 0.0 <= d <= HALF_PI
+        assert d == pytest.approx(fs_distance(b, a), abs=1e-14)
+        assert fs_distance(a, a) <= 1e-12
+
 
 class TestCoordinates:
     def test_basis_state_maps_to_zero_angles(self):
@@ -144,6 +172,11 @@ class TestCoordinates:
             psi = random_state(dim, np.random.default_rng(seed))
             back = from_coords(to_coords(psi))
             assert fs_distance(back, psi) <= 1e-10
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 32).flatmap(states))
+    def test_round_trip_property(self, psi):
+        assert fs_distance(from_coords(to_coords(psi)), psi) <= 1e-10
 
     def test_round_trip_with_zero_amplitudes(self):
         psi = ket(0.0, 0.6, 0.0, 0.8j)
