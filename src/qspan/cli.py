@@ -112,7 +112,7 @@ def _physical_memory() -> float:
         return math.inf
 
 
-def _largest_array_bytes(config: "ExperimentConfig") -> int:
+def _largest_array_bytes(config: ExperimentConfig) -> int:
     """Bytes of the largest array a run of ``config`` holds at once."""
     # past 64 qubits every estimate below exceeds any memory anyway
     dim = 2 ** min(max(config.qubits), 64)

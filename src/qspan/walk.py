@@ -165,9 +165,9 @@ def run_walk(
     and renormalize.  spans[0] is 0 and spans[t] the Fubini-Study
     distance of the walker after t steps back to the start.  The steps
     run on the probe scan's kernel, one walker at a time, drawing 2(D-1)
-    normals per step from ``rng`` (again, should a draw vanish).  Given
-    the same initial state and generator state the record is reproduced
-    bit for bit.
+    normals per step from ``rng``, and drawing again should they vanish
+    on every active direction.  Given the same initial state and
+    generator state the record is reproduced bit for bit.
     """
     if initial.dim != config.dim:
         raise ValueError(
@@ -306,7 +306,8 @@ def _tangent(m, tail, strides, xi):
 
     has d_theta^T g d_theta = stride**2 exactly.  It is the eigenframe
     draw of :func:`qspan.hilbert.random_tangent_step` up to a rotation
-    of u, hence equal in distribution, at O(D) cost instead of an O(D^3)
+    of u, hence equal in distribution (where no eigenvalue falls below
+    that draw's degeneracy cutoff), at O(D) cost instead of an O(D^3)
     eigendecomposition.  Directions with P_k = 0 or v_d = 0 carry no
     metric length and get no share of xi.  Where m_D = 0, A is singular
     along the global phase; u_ph then comes from the projection

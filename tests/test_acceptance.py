@@ -5,8 +5,9 @@ measured number against its tolerance window.  One PASS/FAIL line per
 criterion is written straight to the terminal (bypassing capture) so a
 plain ``pytest tests/test_acceptance.py`` run reads as a checklist.
 
-The walk survey (criteria 1 and 2) is the long pole at roughly three
-minutes on one core; everything else finishes in seconds.
+The walk survey (criteria 1 and 2) is the long pole at roughly one
+minute on one core; the percolation survey takes about twenty seconds
+and everything else finishes in seconds.
 """
 
 import math
