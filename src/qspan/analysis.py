@@ -7,7 +7,7 @@ Three fitting helpers cover the scaling laws that show up downstream:
 * :func:`fit_exponent_scaling` for plain y = a x^b relations (used for
   how fitted amplitudes and exponents move with register size);
 * :func:`fit_saturating_power_law` for amplitudes approaching a ceiling,
-  y = gamma - alpha x^-beta, by damped Gauss-Newton iteration.
+  y = gamma - alpha x^-beta, by scipy.optimize.least_squares.
 
 The concentration half quantifies how sharply the squared overlap of two
 random states of dimension D peaks at its mean 1/D: an exponential tail
@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import optimize
 
 from ._seeds import spawn
 
@@ -142,11 +143,12 @@ def fit_exponent_scaling(x, y) -> PowerLawFit:
 class SaturatingFit:
     """Result of fitting y = gamma - alpha * x**-beta.
 
-    ``converged`` reports whether the iteration met its step tolerance
-    within the iteration cap; unconverged parameter values are returned
-    but should not be trusted.  Standard errors are the usual
-    linearized-covariance estimates at the optimum (NaN when the
-    problem's normal matrix is singular there).
+    ``converged`` reports whether the optimiser met its relative step
+    tolerance of 1e-10 within its cap of 200 residual evaluations;
+    unconverged parameter values are returned but should not be trusted.
+    ``n_iterations`` is the number of residual evaluations spent.
+    Standard errors are the usual linearized-covariance estimates at the
+    optimum (NaN when the problem's normal matrix is singular there).
     """
 
     gamma: float
@@ -161,89 +163,54 @@ class SaturatingFit:
     n_iterations: int
 
 
-_SATURATING_MAX_ITER = 200
-_SATURATING_STEP_TOL = 1e-10
-
-
 def fit_saturating_power_law(x, y) -> SaturatingFit:
-    """Fit y = gamma - alpha * x**-beta by damped Gauss-Newton.
+    """Fit y = gamma - alpha * x**-beta with scipy's trust-region solver.
 
     Needs at least four points (three parameters).  The start point
     takes gamma just above max(y) (1.01 * max) and gets alpha, beta from
-    the log-linear fit of gamma0 - y against x.  Iterations solve the
-    damped normal equations (Levenberg style: lambda scales the normal
-    matrix diagonal, shrinking on accepted steps and growing on rejected
-    ones) until the relative step falls below 1e-10; 200 iterations
-    without that mark the fit unconverged.
+    the log-linear fit of gamma0 - y against x.  From there
+    :func:`scipy.optimize.least_squares` ("trf", unit parameter scale,
+    closed-form Jacobian) runs until the relative step falls below
+    1e-10; only that test can stop it early, so 200 residual
+    evaluations without it mark the fit unconverged.
     """
     x, y = _validated_xy(x, y, 4)
-    ymax = float(y.max())
-    if ymax <= 0.0:
-        raise FitError("saturating fit needs positive data")
-    gamma = 1.01 * ymax
-    z = gamma - y
+    gamma0 = 1.01 * float(y.max())
+    z = gamma0 - y
     if np.any(z <= 0.0):
         raise FitError("could not seed the saturating fit")
     intercept, slope, *_ = _loglog_line(x, z)
-    alpha = math.exp(intercept)
-    beta = -slope
+    log_x = np.log(x)
 
-    def residuals(g: float, a: float, b: float) -> np.ndarray:
+    def residuals(p: np.ndarray) -> np.ndarray:
+        g, a, b = p
         return g - a * x ** (-b) - y
 
-    def jacobian(a: float, b: float) -> np.ndarray:
+    def jacobian(p: np.ndarray) -> np.ndarray:
+        _, a, b = p
         xb = x ** (-b)
-        return np.column_stack((np.ones_like(x), -xb, a * xb * np.log(x)))
+        return np.column_stack((np.ones_like(x), -xb, a * xb * log_x))
 
-    r = residuals(gamma, alpha, beta)
-    rss = float(r @ r)
-    lam = 1e-3
-    converged = False
-    iterations = 0
-    for iterations in range(1, _SATURATING_MAX_ITER + 1):
-        jac = jacobian(alpha, beta)
-        jtj = jac.T @ jac
-        jtr = jac.T @ r
-        try:
-            delta = np.linalg.solve(jtj + lam * np.diag(np.diagonal(jtj)), -jtr)
-        except np.linalg.LinAlgError:
-            break
-        cand = (gamma + delta[0], alpha + delta[1], beta + delta[2])
-        r_cand = residuals(*cand)
-        rss_cand = float(r_cand @ r_cand)
-        if rss_cand <= rss:
-            scale = math.sqrt(gamma**2 + alpha**2 + beta**2) + 1e-30
-            gamma, alpha, beta = cand
-            r, rss = r_cand, rss_cand
-            lam = max(lam / 10.0, 1e-12)
-            if np.linalg.norm(delta) < _SATURATING_STEP_TOL * scale:
-                converged = True
-                break
-        else:
-            lam *= 10.0
-            if lam > 1e12:
-                break
-
-    jac = jacobian(alpha, beta)
-    jtj = jac.T @ jac
+    with np.errstate(over="ignore"):
+        res = optimize.least_squares(
+            residuals, [gamma0, math.exp(intercept), -slope], jac=jacobian, method="trf",
+            x_scale=1.0, xtol=1e-10, ftol=None, gtol=None, max_nfev=200,
+        )
+    rss = float(res.fun @ res.fun)
     dof = x.size - 3
     sigma_sq = rss / dof if dof > 0 else 0.0
     try:
-        cov = sigma_sq * np.linalg.inv(jtj)
+        cov = sigma_sq * np.linalg.inv(res.jac.T @ res.jac)
         errs = np.sqrt(np.maximum(np.diagonal(cov), 0.0))
     except np.linalg.LinAlgError:
         errs = np.full(3, math.nan)
     return SaturatingFit(
-        gamma=float(gamma),
-        alpha=float(alpha),
-        beta=float(beta),
-        gamma_stderr=float(errs[0]),
-        alpha_stderr=float(errs[1]),
-        beta_stderr=float(errs[2]),
+        *res.x.tolist(),  # gamma, alpha, beta
+        *errs.tolist(),  # their standard errors
         rss=rss,
         n_points=int(x.size),
-        converged=converged,
-        n_iterations=iterations,
+        converged=bool(res.success),
+        n_iterations=int(res.nfev),
     )
 
 

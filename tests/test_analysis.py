@@ -132,6 +132,24 @@ class TestFitSaturatingPowerLaw:
             fit_saturating_power_law([8.0, 16.0, 32.0, 64.0], [0.5, 0.6, -0.1, 0.7])
 
 
+    def test_subnormal_data_cannot_be_seeded(self):
+        # 1.01 * 5e-324 rounds back to 5e-324, so gamma0 - y is zero.
+        with pytest.raises(FitError, match="seed"):
+            fit_saturating_power_law([8.0, 16.0, 32.0, 64.0], [5e-324] * 4)
+
+    def test_unconverged_fit_is_flagged_and_finite(self):
+        # Four amplitudes still rising at the largest x leave the ceiling
+        # on a flat valley: the step test is not met within the cap.
+        x = [128.0, 256.0, 512.0, 1024.0]
+        y = [0.9592343932119902, 0.965505124900998, 0.9751694780972807, 0.9850930542053425]
+        fit = fit_saturating_power_law(x, y)
+        assert not fit.converged
+        assert fit.n_iterations == 200
+        values = [fit.gamma, fit.alpha, fit.beta, fit.rss,
+                  fit.gamma_stderr, fit.alpha_stderr, fit.beta_stderr]
+        assert all(math.isfinite(v) for v in values)
+
+
 class TestConcentrationBound:
     def test_matches_closed_form(self):
         d, eps = 64, 0.03
