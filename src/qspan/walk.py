@@ -438,8 +438,6 @@ def critical_step_for_trial(
     is consumed sequentially across probes.  The arguments are checked
     through :class:`WalkConfig` before anything is drawn.
     """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
     config = WalkConfig(
         qubits=qubits,
         steps=steps,
@@ -448,8 +446,7 @@ def critical_step_for_trial(
         epsilon=epsilon,
         exact_step=exact_step,
     )
-    eps = paper_epsilon(qubits) if epsilon_mode == "paper" else float(epsilon)
-    floor = (HALF_PI - eps) / steps
+    floor = (HALF_PI - config.epsilon) / steps
     replace(config, delta_s=floor)  # the floor stride must be a valid stride
     grid = bracket_rel_width * HALF_PI
     strides = []
