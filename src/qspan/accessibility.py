@@ -78,6 +78,13 @@ class QuantumnessReport:
             raise ValueError("passes must equal index > 1")
 
 
+def _index_at(params: DeviceParams, n_qubits: float) -> float:
+    coherent_reach = 4.0 * params.j_over_h * math.sqrt(
+        params.t_evolution * params.t_decoherence
+    )
+    return coherent_reach / n_qubits**0.75
+
+
 def accessibility_index(params: DeviceParams) -> float:
     """Dimensionless accessibility index of a device.
 
@@ -85,10 +92,7 @@ def accessibility_index(params: DeviceParams) -> float:
     by n_qubits^(3/4).  Values above one indicate that coherent
     evolution can span the state space of this many qubits.
     """
-    coherent_reach = 4.0 * params.j_over_h * math.sqrt(
-        params.t_evolution * params.t_decoherence
-    )
-    return coherent_reach / params.n_qubits**0.75
+    return _index_at(params, params.n_qubits)
 
 
 def quantumness_margin(params: DeviceParams) -> tuple[float, bool]:
@@ -118,23 +122,20 @@ def max_qubits(params: DeviceParams) -> float:
 
     Inverts the accessibility index along the qubit-count axis:
     N_max = (4 * J/h)^(4/3) * (t_evolution * t_decoherence)^(2/3).
-    The result is cross-checked by evaluating the index at N_max, which
-    must come back as 1 within 1e-9 relative; a mismatch would mean the
-    two formulas have drifted apart and raises RuntimeError.
+    N_max may lie below one qubit for a weak device.  Parameters whose
+    N_max overflows to infinity or underflows to zero raise ValueError.
+    The result is cross-checked by evaluating the index formula at
+    N_max, which must come back as 1 within 1e-9 relative; a mismatch
+    would mean the two formulas have drifted apart and raises
+    RuntimeError.
     """
     n_max = (4.0 * params.j_over_h) ** (4.0 / 3.0) * (
         params.t_evolution * params.t_decoherence
     ) ** (2.0 / 3.0)
-    at_break_even = accessibility_index(
-        DeviceParams(
-            n_qubits=n_max,
-            j_over_h=params.j_over_h,
-            t_decoherence=params.t_decoherence,
-            t_evolution=params.t_evolution,
-            c_constant=params.c_constant,
-        )
-    )
-    if abs(at_break_even - 1.0) > _IDENTITY_RTOL:
+    if not 0.0 < n_max < math.inf:
+        raise ValueError(f"break-even qubit count is not a positive finite number: {n_max!r}")
+    at_break_even = _index_at(params, n_max)
+    if not abs(at_break_even - 1.0) <= _IDENTITY_RTOL:
         raise RuntimeError(
             f"index at break-even size is {at_break_even!r}, expected 1 "
             f"within {_IDENTITY_RTOL} relative"

@@ -29,7 +29,7 @@ from dataclasses import MISSING, asdict, dataclass, fields
 import numpy as np
 
 from . import __version__
-from .accessibility import DeviceParams, assess
+from .accessibility import DeviceParams, assess, max_qubits
 from .analysis import (
     _BATCH as _CONCENTRATION_BATCH,
     FitError,
@@ -197,8 +197,8 @@ class ExperimentConfig:
             if not (math.isfinite(self.epsilon) and self.epsilon > 0):
                 raise UsageError(f"epsilon: must be a finite number > 0, got {self.epsilon}")
             walk = _row_kind(self.kind, self.trials) == "walk-critical"
-            if walk and self.epsilon > math.pi / 2:
-                raise UsageError(f"epsilon: walk margins must be <= pi/2, got {self.epsilon}")
+            if walk and self.epsilon >= math.pi / 2:
+                raise UsageError(f"epsilon: walk margins must be < pi/2, got {self.epsilon}")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise UsageError(f"seed: must be an integer, got {self.seed!r}")
         if not 0 <= self.seed < 2**64:
@@ -210,6 +210,14 @@ class ExperimentConfig:
         for name in ("j_over_h_hz", "t_decoherence_s", "t_evolution_s", "c_constant"):
             if not 0 < getattr(self, name) < math.inf:
                 raise UsageError(f"{name}: must be finite and positive, got {getattr(self, name)}")
+        if self.kind == "accessibility":
+            device = DeviceParams(
+                1, self.j_over_h_hz, self.t_decoherence_s, self.t_evolution_s, self.c_constant
+            )
+            try:
+                max_qubits(device)
+            except ValueError as exc:
+                raise UsageError(f"device: {exc}") from exc
 
         if self.kind == "walk-critical" and self.trials is None:
             raise UsageError("trials: walk-critical needs --trials")
@@ -672,7 +680,7 @@ _OPTIONS = {
     "samples": (int, "samples per cell (percolation/concentration)"),
     "epsilon": (
         _parse_epsilon,
-        "success margin: 'paper' (dimension-tied) or a number in (0, pi/2]",
+        "success margin: 'paper' (dimension-tied) or a number in (0, pi/2)",
     ),
     "exact_step": (_parse_bool, "rescale each stride so the realized distance matches exactly"),
     "seed": (int, "64-bit master seed"),

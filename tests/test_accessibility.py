@@ -122,6 +122,18 @@ class TestAssess:
         assert report.index < 1.0
         assert not report.passes
 
+    def test_weak_device_breaks_even_below_one_qubit(self):
+        report = assess(DeviceParams(1, 1e6, 1e-8, 5e-6))
+        assert report.n_max == pytest.approx(0.8618, abs=1e-4)
+        assert report.n_max_floor == 0
+        assert not report.passes
+
+    def test_break_even_must_be_finite_and_positive(self):
+        with pytest.raises(ValueError, match="break-even"):
+            max_qubits(DeviceParams(1, 1e308, 1e308, 5e-6))
+        with pytest.raises(ValueError, match="break-even"):
+            max_qubits(DeviceParams(1, 1e-300, 1e-300, 1e-300))
+
     def test_report_consistency_enforced(self):
         with pytest.raises(ValueError):
             QuantumnessReport(

@@ -337,6 +337,11 @@ class TestOutOfRangeInputs:
             ["--experiment", "accessibility", "--j-over-h-hz", "inf"],
             ["--experiment", "accessibility", "--t-evolution-s", "inf"],
             ["--experiment", "accessibility", "--c-constant", "nan"],
+            ["--experiment", "walk-critical", "--trials", "1", "--epsilon", "1.5707963267948966"],
+            ["--experiment", "fit", "--trials", "1", "--steps", "3,5",
+             "--epsilon", "1.5707963267948966"],
+            ["--experiment", "accessibility", "--j-over-h-hz", "1e308",
+             "--t-decoherence-s", "1e308"],
         ],
     )
     def test_usage_error(self, argv, capsys):
@@ -346,11 +351,23 @@ class TestOutOfRangeInputs:
         assert "Traceback" not in err
 
     def test_walk_bound_is_pi_over_two(self):
-        ExperimentConfig(kind="walk-critical", trials=1, epsilon_mode="fixed", epsilon=math.pi / 2)
-        with pytest.raises(UsageError, match="epsilon"):
-            ExperimentConfig(
-                kind="walk-critical", trials=1, epsilon_mode="fixed", epsilon=math.pi / 2 + 1e-9
-            )
+        below = math.nextafter(math.pi / 2, 0)
+        ExperimentConfig(kind="walk-critical", trials=1, epsilon_mode="fixed", epsilon=below)
+        for refused in (math.pi / 2, math.pi / 2 + 1e-9):
+            with pytest.raises(UsageError, match="epsilon"):
+                ExperimentConfig(
+                    kind="walk-critical", trials=1, epsilon_mode="fixed", epsilon=refused
+                )
+
+    def test_walk_margin_just_below_pi_over_two_runs(self, capsys):
+        eps = repr(math.nextafter(math.pi / 2, 0))
+        assert main(["--experiment", "walk-critical", "--trials", "1", "--epsilon", eps]) == 0
+
+    def test_weak_device_reports_break_even_below_one_qubit(self, capsys):
+        assert main(["--experiment", "accessibility", "--j-over-h-hz", "1e6"]) == 0
+        row = capsys.readouterr().out.strip().splitlines()[-1].split(",")
+        assert row[5] == "false"
+        assert float(row[6]) == pytest.approx(0.8618, abs=1e-4)
 
     def test_concentration_deviation_may_exceed_pi_over_two(self):
         ExperimentConfig(kind="concentration", samples=1000, epsilon_mode="fixed", epsilon=2.0)
