@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qspan.hilbert import random_state
 from qspan.percolation import (
@@ -31,6 +33,22 @@ def symmetric(entries):
 def random_matrix(n, rng):
     d = rng.uniform(0.0, HALF_PI, size=(n, n))
     d = np.triu(d, 1)
+    return DistanceMatrix(d + d.T)
+
+
+# A few fixed weights make ties (and zero-distance pairs) common.
+_WEIGHTS = st.one_of(
+    st.sampled_from([0.0, 0.25, 0.5, 0.75, 0.8, 1.0, HALF_PI]),
+    st.floats(0.0, HALF_PI),
+)
+
+
+@st.composite
+def distance_matrices(draw):
+    n = draw(st.integers(2, 8))
+    iu, ju = np.triu_indices(n, 1)
+    d = np.zeros((n, n))
+    d[iu, ju] = draw(st.lists(_WEIGHTS, min_size=iu.size, max_size=iu.size))
     return DistanceMatrix(d + d.T)
 
 
@@ -157,6 +175,21 @@ class TestCriticalThreshold:
             if value is not None:
                 iu, ju = np.triu_indices(dist.n_points, 1)
                 assert np.any(dist.values[iu, ju] == value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(distance_matrices())
+    def test_matches_closure_at_each_edge_weight(self, dist):
+        # The smallest edge weight w whose closure at w spans maximally.
+        iu, ju = np.triu_indices(dist.n_points, 1)
+        expected = next(
+            (
+                w
+                for w in sorted(set(dist.values[iu, ju].tolist()))
+                if build_clusters(dist, w).spans_maximally(w)
+            ),
+            None,
+        )
+        assert critical_threshold(dist) == expected
 
     def test_adding_a_point_never_raises_threshold(self):
         rng = np.random.default_rng(42)
