@@ -31,6 +31,8 @@ GOLDEN = {
     "walk-critical-wide.csv": "--experiment walk-critical --qubits 3,4 --steps 3,30 --trials 2",
     "percolation-critical.csv":
         "--experiment percolation-critical --qubits 2,3 --steps 5,20 --samples 4",
+    "percolation-critical-wide.csv":
+        "--experiment percolation-critical --qubits 7,10 --steps 5,50 --samples 4",
     "concentration.csv":
         "--experiment concentration --qubits 1,3 --epsilon 0.1 --samples 2000",
 }
