@@ -192,19 +192,33 @@ class TangentStep:
         object.__setattr__(self, "u", _readonly(np.asarray(self.u, float).copy()))
 
 
+def _haar_rows(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """``n`` Haar-distributed unit vectors of C^dim, as an (n, dim) array.
+
+    One (n, 2*dim) block of standard normals; each row's consecutive
+    pairs are the real and imaginary parts of its amplitudes.  A row's
+    norm is its own dot product (the BLAS dot ``np.linalg.norm`` uses),
+    so row k is bit for bit the state the k-th of n sequential
+    :func:`random_state` calls would draw.
+    """
+    x = rng.standard_normal((n, 2 * dim))
+    norm = np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
+    return x.view(np.complex128) / norm[:, None]
+
+
 def random_state(dim: int, rng: np.random.Generator) -> StateVector:
     """Draw a Haar-distributed pure state of dimension ``dim``.
 
     2*dim i.i.d. standard normals are paired into complex amplitudes and
     the vector is normalized.  Unitary invariance of the Gaussian makes
     the result uniform on the unit sphere of C^dim; in particular the
-    squared overlap of two independent draws has mean 1/dim.
+    squared overlap of two independent draws has mean 1/dim.  Clouds of
+    states (:func:`qspan.percolation.random_cloud`) come from the same
+    sampler, one row per state.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    x = rng.standard_normal(2 * dim)
-    z = x[0::2] + 1j * x[1::2]
-    return StateVector(z / np.linalg.norm(x))
+    return StateVector(_haar_rows(dim, 1, rng)[0])
 
 
 def fs_distance(psi: StateVector, phi: StateVector) -> float:

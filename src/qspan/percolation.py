@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._seeds import as_seedseq, spawn
-from .hilbert import HALF_PI, StateVector, random_state
+from .hilbert import HALF_PI, StateVector, _haar_rows
 
 __all__ = [
     "InsufficientPointsError",
@@ -111,23 +111,36 @@ def pairwise_distances(states: Sequence[StateVector]) -> DistanceMatrix:
     mirrored so the result is exactly symmetric with an exactly zero
     diagonal.
     """
-    if len(states) < 2:
-        raise InsufficientPointsError(
-            f"need at least 2 states, got {len(states)}"
-        )
+    _check_points(len(states))
     dims = {s.dim for s in states}
     if len(dims) != 1:
         raise ValueError(f"states must share one dimension, got {sorted(dims)}")
-    a = np.stack([s.amplitudes for s in states])
+    return DistanceMatrix(_distances(np.stack([s.amplitudes for s in states])))
+
+
+def _check_points(n_points: int) -> None:
+    if n_points < 2:
+        raise InsufficientPointsError(f"need at least 2 states, got {n_points}")
+
+
+def _distances(a: np.ndarray) -> np.ndarray:
+    """Distance matrix of the unit rows of ``a`` (see pairwise_distances)."""
     gram = a @ a.conj().T
     d = np.arccos(np.minimum(np.abs(gram), 1.0))
     d = np.triu(d, 1)
-    return DistanceMatrix(d + d.T)
+    return d + d.T
 
 
 def random_cloud(dim: int, n_points: int, rng: np.random.Generator) -> list[StateVector]:
-    """Draw ``n_points`` independent Haar states of dimension ``dim``."""
-    return [random_state(dim, rng) for _ in range(n_points)]
+    """Draw ``n_points`` independent Haar states of dimension ``dim``.
+
+    One block draw through the sampler behind
+    :func:`qspan.hilbert.random_state`: the states equal, bit for bit,
+    those of ``n_points`` sequential ``random_state`` calls on ``rng``.
+    """
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
+    return [StateVector(row) for row in _haar_rows(dim, n_points, rng)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,8 +204,7 @@ def build_clusters(dist: DistanceMatrix, threshold: float) -> ClusterSet:
 def critical_threshold(dist: DistanceMatrix) -> Optional[float]:
     """Smallest edge weight at which some cluster spans maximally.
 
-    Sweeps the pairwise distances in ascending order (ties broken by
-    index pair, which cannot change the outcome), merging clusters as
+    Sweeps the pairwise distances in ascending order, merging clusters as
     edges arrive and maintaining the largest cluster span L_max seen so
     far.  After every edge -- merging or not, since a non-merging edge
     still raises the inspected weight w -- the rule
@@ -203,12 +215,33 @@ def critical_threshold(dist: DistanceMatrix) -> Optional[float]:
     L_max never decreases along the sweep, so that first weight is the
     minimum over all edge weights.  Returns None when the rule never
     holds, i.e. even one single cluster of all points spans too little.
+
+    The edges are the upper-triangle pairs in row-major order, sorted
+    by weight with a stable sort, so equal weights keep that (i, j)
+    order.  Any order of ties gives the same result: once every edge of
+    weight at most w has arrived, the clusters and so L_max are the same
+    whatever the order, and the sweep returns the smallest w at which
+    the rule then holds.
+
+    Only edges with pi/2 - w > w (w below about pi/4) are sorted and
+    swept.  An edge that has arrived lies inside one cluster, so
+    L_max >= w from then on, and the rule holds at the first edge with
+    pi/2 - w <= w.  A sweep of the short edges that ends without the
+    rule holding therefore returns the smallest remaining weight.  In
+    clouds of D >= 128 states every distance exceeds pi/4, and nothing
+    is sorted.
     """
-    d = dist.values
-    m = dist.n_points
+    return _threshold(dist.values)
+
+
+def _threshold(d: np.ndarray) -> Optional[float]:
+    """critical_threshold on a plain symmetric distance array."""
+    m = d.shape[0]
     iu, ju = np.triu_indices(m, 1)
     w = d[iu, ju]
-    order = np.lexsort((ju, iu, w))
+    gap = HALF_PI - w
+    short = np.flatnonzero(gap > w)
+    order = short[np.argsort(w[short], kind="stable")]
     uf = UnionFind(m)
     members: list[Optional[list[int]]] = [[i] for i in range(m)]
     spans = np.zeros(m)
@@ -228,16 +261,17 @@ def critical_threshold(dist: DistanceMatrix) -> Optional[float]:
             l_max = max(l_max, float(spans[root]))
         if HALF_PI - l_max <= weight:
             return weight
-    return None
+    long = w[gap <= w]
+    return float(long.min()) if long.size else None
 
 
 def critical_threshold_sample(qubits: int, n_points: int, sample_seed) -> Optional[float]:
     """Critical threshold of one freshly drawn cloud (None if it has none)."""
     if qubits < 1:
         raise ValueError(f"qubits must be >= 1, got {qubits}")
+    _check_points(n_points)
     rng = np.random.default_rng(as_seedseq(sample_seed))
-    cloud = random_cloud(2**qubits, n_points, rng)
-    return critical_threshold(pairwise_distances(cloud))
+    return _threshold(_distances(_haar_rows(2**qubits, n_points, rng)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qspan.hilbert import random_state
+from qspan.hilbert import StateVector, random_state
 from qspan.percolation import (
     DistanceMatrix,
     ExperimentFailureError,
@@ -50,6 +50,16 @@ def distance_matrices(draw):
     d = np.zeros((n, n))
     d[iu, ju] = draw(st.lists(_WEIGHTS, min_size=iu.size, max_size=iu.size))
     return DistanceMatrix(d + d.T)
+
+
+def reference_cloud(dim, n_points, rng):
+    """(n_points, dim) Haar states drawn one at a time from ``rng``."""
+    rows = []
+    for _ in range(n_points):
+        x = rng.standard_normal(2 * dim)
+        z = x[0::2] + 1j * x[1::2]
+        rows.append(z / np.linalg.norm(x))
+    return np.stack(rows)
 
 
 def closure_partition(d, threshold):
@@ -202,6 +212,44 @@ class TestCriticalThreshold:
             if t_small is not None:
                 assert t_big is not None
                 assert t_big <= t_small + 1e-15
+
+
+class TestSamplerOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.one_of(st.integers(1, 64), st.integers(1, 4096)),
+        n_points=st.integers(1, 20),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_cloud_and_states_match_reference_bits(self, dim, n_points, seed):
+        expected = reference_cloud(dim, n_points, np.random.default_rng(seed)).view(np.uint64)
+        cloud = random_cloud(dim, n_points, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        states = [random_state(dim, rng) for _ in range(n_points)]
+        for drawn in (cloud, states):
+            got = np.stack([s.amplitudes for s in drawn]).view(np.uint64)
+            assert np.array_equal(got, expected)
+
+    # (1, 3, 5) has no threshold; (1, 10, 59) merges 21 edges below it.
+    @settings(max_examples=80, deadline=None)
+    @given(
+        qubits=st.integers(1, 6),
+        n_points=st.integers(2, 40),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @example(qubits=1, n_points=3, seed=5)
+    @example(qubits=1, n_points=10, seed=59)
+    def test_sample_matches_wrappers_on_reference_cloud(self, qubits, n_points, seed):
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        cloud = [StateVector(z) for z in reference_cloud(2**qubits, n_points, rng)]
+        expected = critical_threshold(pairwise_distances(cloud))
+        assert critical_threshold_sample(qubits, n_points, seed) == expected
+
+    def test_sample_rejects_bad_sizes(self):
+        with pytest.raises(ValueError, match="qubits"):
+            critical_threshold_sample(0, 5, 0)
+        with pytest.raises(InsufficientPointsError):
+            critical_threshold_sample(3, 0, 0)
 
 
 class TestExperiment:
