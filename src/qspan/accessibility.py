@@ -12,6 +12,7 @@ explicit instead of absorbing it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 __all__ = [
@@ -122,18 +123,28 @@ def max_qubits(params: DeviceParams) -> float:
 
     Inverts the accessibility index along the qubit-count axis:
     N_max = (4 * J/h)^(4/3) * (t_evolution * t_decoherence)^(2/3).
-    N_max may lie below one qubit for a weak device.  Parameters whose
-    N_max overflows to infinity or underflows to zero raise ValueError.
+    N_max may lie below one qubit for a weak device.  Parameters for
+    which N_max, or a factor or power on the way to it, overflows or
+    falls below the smallest normal float raise ValueError: a subnormal
+    keeps too few digits to give N_max, and the formula would otherwise
+    return a rounded-off value or fail its own check.
     The result is cross-checked by evaluating the index formula at
     N_max, which must come back as 1 within 1e-9 relative; a mismatch
     would mean the two formulas have drifted apart and raises
     RuntimeError.
     """
-    n_max = (4.0 * params.j_over_h) ** (4.0 / 3.0) * (
-        params.t_evolution * params.t_decoherence
-    ) ** (2.0 / 3.0)
-    if not 0.0 < n_max < math.inf:
-        raise ValueError(f"break-even qubit count is not a positive finite number: {n_max!r}")
+    coupling = 4.0 * params.j_over_h
+    times = params.t_evolution * params.t_decoherence
+    try:
+        powers = coupling ** (4.0 / 3.0), times ** (2.0 / 3.0)
+    except OverflowError:  # float ** raises where * gives inf
+        powers = math.inf, math.inf
+    n_max = powers[0] * powers[1]
+    if not all(sys.float_info.min <= v < math.inf for v in (coupling, times, *powers, n_max)):
+        raise ValueError(
+            f"break-even qubit count is out of the normal float range for these "
+            f"parameters: {n_max!r}"
+        )
     at_break_even = _index_at(params, n_max)
     if not abs(at_break_even - 1.0) <= _IDENTITY_RTOL:
         raise RuntimeError(

@@ -7,8 +7,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qspan import cli
+from qspan.accessibility import DeviceParams, _index_at, max_qubits
 from qspan.cli import (
     ExperimentConfig,
     ResultSet,
@@ -21,6 +24,13 @@ from qspan.cli import (
 )
 
 WALK = dict(kind="walk-critical", qubits=(1,), steps=(3,), trials=4, seed=42)
+
+#: Positive finite device parameters, log-uniform over the float range
+#: (subnormals included) or drawn by hypothesis's own float shrinking.
+_DEVICE_VALUES = st.one_of(
+    st.floats(-320.0, 308.0).map(lambda e: 10.0**e),
+    st.floats(min_value=5e-324, max_value=sys.float_info.max),
+)
 
 
 class TestExperimentConfig:
@@ -342,6 +352,10 @@ class TestOutOfRangeInputs:
              "--epsilon", "1.5707963267948966"],
             ["--experiment", "accessibility", "--j-over-h-hz", "1e308",
              "--t-decoherence-s", "1e308"],
+            ["--experiment", "accessibility", "--j-over-h-hz", "1e250"],
+            ["--experiment", "accessibility", "--j-over-h-hz", "1.2064630423315639e-109",
+             "--t-decoherence-s", "2.3741339035618108e-226",
+             "--t-evolution-s", "6.503127303907095e-38"],
         ],
     )
     def test_usage_error(self, argv, capsys):
@@ -368,6 +382,24 @@ class TestOutOfRangeInputs:
         row = capsys.readouterr().out.strip().splitlines()[-1].split(",")
         assert row[5] == "false"
         assert float(row[6]) == pytest.approx(0.8618, abs=1e-4)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_DEVICE_VALUES, min_size=3, max_size=3))
+    def test_break_even_is_exact_or_refused(self, values):
+        # Any positive finite device gives an N_max at which the index
+        # is 1, or a ValueError that the config reports as a usage error.
+        j, t_d, t_e = values
+        device = DeviceParams(1, j, t_d, t_e)
+        config = dict(kind="accessibility", j_over_h_hz=j, t_decoherence_s=t_d, t_evolution_s=t_e)
+        try:
+            n_max = max_qubits(device)
+        except ValueError:
+            with pytest.raises(UsageError, match="device"):
+                ExperimentConfig(**config)
+        else:
+            assert 0.0 < n_max < math.inf
+            assert abs(_index_at(device, n_max) - 1.0) <= 1e-9
+            ExperimentConfig(**config)
 
     def test_concentration_deviation_may_exceed_pi_over_two(self):
         ExperimentConfig(kind="concentration", samples=1000, epsilon_mode="fixed", epsilon=2.0)
