@@ -122,7 +122,8 @@ def _largest_array_bytes(config: ExperimentConfig) -> int:
         probes = 1 if config.exact_step else _WALK_BATCH
         return probes * max(config.steps) * 2 * (dim - 1) * 8
     if survey == "percolation-critical":
-        # a cloud of D-dimensional complex states and its Gram matrix
+        # a cloud's (points, 2D) block of float64 normals (the same bytes as
+        # its complex states) and its (points, points) complex Gram matrix
         points = max(config.steps)
         return points * max(dim, points) * 16
     if survey == "concentration":

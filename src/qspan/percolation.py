@@ -216,20 +216,18 @@ def critical_threshold(dist: DistanceMatrix) -> Optional[float]:
     minimum over all edge weights.  Returns None when the rule never
     holds, i.e. even one single cluster of all points spans too little.
 
-    The edges are the upper-triangle pairs in row-major order, sorted
-    by weight with a stable sort, so equal weights keep that (i, j)
-    order.  Any order of ties gives the same result: once every edge of
-    weight at most w has arrived, the clusters and so L_max are the same
-    whatever the order, and the sweep returns the smallest w at which
-    the rule then holds.
+    Ties may arrive in any order: once every edge of weight at most w
+    has arrived, the clusters, and so L_max, do not depend on it.  The
+    sort is stable, so ties keep the row-major (i, j) order of the upper
+    triangle.
 
     Only edges with pi/2 - w > w (w below about pi/4) are sorted and
-    swept.  An edge that has arrived lies inside one cluster, so
-    L_max >= w from then on, and the rule holds at the first edge with
+    swept.  Once an edge of weight w has arrived its ends share a
+    cluster, so L_max >= w and the rule holds at any edge with
     pi/2 - w <= w.  A sweep of the short edges that ends without the
-    rule holding therefore returns the smallest remaining weight.  In
-    clouds of D >= 128 states every distance exceeds pi/4, and nothing
-    is sorted.
+    rule holding thus returns the smallest long weight.  Two Haar states
+    lie closer than pi/4 with probability 2^-(D-1), so a cloud sample at
+    D >= 128 sorts nothing.
     """
     return _threshold(dist.values)
 
