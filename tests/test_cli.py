@@ -26,7 +26,7 @@ from qspan.cli import (
 WALK = dict(kind="walk-critical", qubits=(1,), steps=(3,), trials=4, seed=42)
 
 #: Positive finite device parameters, log-uniform over the float range
-#: (subnormals included) or drawn by hypothesis's own float shrinking.
+#: (subnormals included), or any positive finite float hypothesis draws.
 _DEVICE_VALUES = st.one_of(
     st.floats(-320.0, 308.0).map(lambda e: 10.0**e),
     st.floats(min_value=5e-324, max_value=sys.float_info.max),

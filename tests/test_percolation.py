@@ -230,7 +230,7 @@ class TestSamplerOracle:
             got = np.stack([s.amplitudes for s in drawn]).view(np.uint64)
             assert np.array_equal(got, expected)
 
-    # (1, 3, 5) has no threshold; (1, 10, 59) merges 21 edges below it.
+    # (1, 3, 5) has no threshold; (1, 10, 59) has 21 edges below its threshold.
     @settings(max_examples=80, deadline=None)
     @given(
         qubits=st.integers(1, 6),
