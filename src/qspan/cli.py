@@ -270,11 +270,16 @@ def _finite_or_none(v):
 
 
 def _map_tasks(fn, tasks: list, workers: int) -> list:
-    """Order-preserving map, fanned out over processes when asked."""
+    """Order-preserving map, fanned out over processes when asked.
+
+    The pool is capped at the task and CPU counts, since the fork start
+    method starts all of its processes at the first submit.
+    """
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
-    chunk = max(1, len(tasks) // (4 * workers))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    size = min(workers, len(tasks), os.cpu_count() or 1)
+    chunk = max(1, len(tasks) // (4 * size))
+    with ProcessPoolExecutor(max_workers=size) as pool:
         return list(pool.map(fn, tasks, chunksize=chunk))
 
 
@@ -685,7 +690,7 @@ _OPTIONS = {
     ),
     "exact_step": (_parse_bool, "rescale each stride so the realized distance matches exactly"),
     "seed": (int, "64-bit master seed"),
-    "workers": (int, "process count"),
+    "workers": (int, "worker processes, capped at the task and CPU counts"),
     "out": (str, "output file path (stdout when not given)"),
     "format": (str, "output format: csv or json"),
     "j_over_h_hz": (float, "qubit coupling frequency in Hz"),

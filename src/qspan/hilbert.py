@@ -22,6 +22,10 @@ into a single vector ``theta`` of length 2(D - 1).  Amplitudes are
 for d = 0 .. D-2, while the last amplitude carries the full sine product
 and no phase of its own; the global phase is fixed by making it real and
 non-negative.
+
+The public chart functions :func:`to_coords`, :func:`state_from_angles`
+and :func:`fs_distance` wrap one private kernel on (K, D) arrays, the one
+the walk steps with.
 """
 
 from __future__ import annotations
@@ -192,6 +196,61 @@ class TangentStep:
         object.__setattr__(self, "u", _readonly(np.asarray(self.u, float).copy()))
 
 
+# --- chart kernel ------------------------------------------------------------
+#
+# The chart, its inverse and the Fubini-Study distance over a leading
+# batch axis of K states.  Every operation acts on each row alone (row
+# dot products go through matmul on (K, 1, n) @ (K, n, 1) stacks, one
+# BLAS dot per row), so a row's bits do not depend on the batch it sits in.
+
+
+def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise x . y of real (K, n) arrays."""
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+
+
+def _sq_norms(x: np.ndarray) -> np.ndarray:
+    """Row-wise x . x of a real (K, n) array."""
+    return _dots(x, x)
+
+
+def _amplitudes(theta: np.ndarray) -> np.ndarray:
+    """``state_from_angles`` on (K, 2n) angles: normalized (K, n + 1) amplitudes."""
+    k, p = theta.shape
+    n = p // 2
+    mag = theta[:, :n]
+    ones = np.ones((k, 1))
+    sines = np.cumprod(np.concatenate((ones, np.sin(mag)), axis=1), axis=1)
+    moduli = sines * np.concatenate((np.cos(mag), ones), axis=1)
+    amps = moduli * np.exp(1j * np.concatenate((theta[:, n:], np.zeros((k, 1))), axis=1))
+    norm = np.sqrt(_sq_norms(amps.real) + _sq_norms(amps.imag))
+    return amps / norm[:, None]
+
+
+def _fs_distances(a: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """``fs_distance`` from the amplitudes ``a`` to each row of ``amps``."""
+    inner = np.array([np.vdot(a, row) for row in amps])
+    ortho = amps - inner[:, None] * a
+    return np.arctan2(np.sqrt(_sq_norms(ortho.real) + _sq_norms(ortho.imag)), np.abs(inner))
+
+
+def _chart(amps: np.ndarray):
+    """``to_coords`` on (K, D) amplitudes: angles, moduli m and tail norms t.
+
+    m holds the moduli once the global phase is fixed, and t_k the norm
+    of (m_k, ..., m_{D-1}); the metric at the angles is read off both.
+    """
+    last = amps[:, -1:]
+    a = np.where(last != 0, amps * np.exp(-1j * np.angle(last)), amps)
+    m = np.abs(a)
+    tail = np.sqrt(np.cumsum((m * m)[:, ::-1], axis=1)[:, ::-1])
+    mag = np.arctan2(tail[:, 1:], m[:, :-1])
+    ph = np.where(m[:, :-1] == 0.0, 0.0, np.mod(np.angle(a[:, :-1]), 2 * np.pi))
+    # mod can round a tiny negative angle up to exactly 2 pi
+    ph[ph >= 2 * np.pi] = 0.0
+    return np.concatenate((mag, ph), axis=1), m, tail
+
+
 def _haar_rows(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """``n`` Haar-distributed unit vectors of C^dim, as an (n, dim) array.
 
@@ -202,7 +261,7 @@ def _haar_rows(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
     :func:`random_state` calls would draw.
     """
     x = rng.standard_normal((n, 2 * dim))
-    norm = np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
+    norm = np.sqrt(_sq_norms(x))
     return x.view(np.complex128) / norm[:, None]
 
 
@@ -232,9 +291,7 @@ def fs_distance(psi: StateVector, phi: StateVector) -> float:
     """
     if psi.dim != phi.dim:
         raise ValueError(f"dimension mismatch: {psi.dim} != {phi.dim}")
-    inner = np.vdot(psi.amplitudes, phi.amplitudes)
-    ortho = phi.amplitudes - inner * psi.amplitudes
-    return float(np.arctan2(np.linalg.norm(ortho), abs(inner)))
+    return float(_fs_distances(psi.amplitudes, phi.amplitudes[None])[0])
 
 
 def to_coords(psi: StateVector) -> HypersphericalCoords:
@@ -251,20 +308,7 @@ def to_coords(psi: StateVector) -> HypersphericalCoords:
     Once the tail norm vanishes the remaining angles come out 0, and
     phases of zero-modulus amplitudes are set to 0.
     """
-    d = psi.dim
-    a = psi.amplitudes
-    last = a[-1]
-    if last != 0:
-        a = a * np.exp(-1j * np.angle(last))
-    if d == 1:
-        return HypersphericalCoords(np.zeros(0), 1)
-    m = np.abs(a)
-    tail = np.sqrt(np.cumsum((m * m)[::-1])[::-1])
-    mag = np.arctan2(tail[1:], m[:-1])
-    ph = np.where(m[:-1] == 0.0, 0.0, np.mod(np.angle(a[:-1]), 2 * np.pi))
-    # mod can round a tiny negative angle up to exactly 2 pi
-    ph[ph >= 2 * np.pi] = 0.0
-    return HypersphericalCoords(np.concatenate([mag, ph]), d)
+    return HypersphericalCoords(_chart(psi.amplitudes[None])[0][0], psi.dim)
 
 
 def state_from_angles(theta: np.ndarray) -> StateVector:
@@ -278,13 +322,7 @@ def state_from_angles(theta: np.ndarray) -> StateVector:
     theta = np.asarray(theta, dtype=np.float64)
     if theta.ndim != 1 or theta.size % 2 != 0:
         raise ValueError("theta must be a 1-d array of even length")
-    n = theta.size // 2
-    mag = theta[:n]
-    ph = theta[n:]
-    sines = np.cumprod(np.concatenate(([1.0], np.sin(mag))))
-    moduli = sines * np.concatenate((np.cos(mag), [1.0]))
-    amps = moduli * np.exp(1j * np.concatenate((ph, [0.0])))
-    return StateVector.from_array(amps)
+    return StateVector(_amplitudes(theta[None])[0])
 
 
 def from_coords(coords: HypersphericalCoords) -> StateVector:

@@ -22,9 +22,11 @@ an ascending stride grid with fresh step directions per probe; see
 
 Both :func:`run_walk` (the validated public walk) and the probe scan
 run one private kernel on raw arrays, which walks a batch of K walkers
-in lockstep.  Its chart steps repeat ``to_coords``, ``state_from_angles``
-and ``fs_distance`` of :mod:`qspan.hilbert`; its tangent draw uses the
-block structure of the metric to sample in O(D) what
+in lockstep.  Its chart steps call the raw-array chart kernel that
+``to_coords``, ``state_from_angles`` and ``fs_distance`` of
+:mod:`qspan.hilbert` wrap, so a walker's chart point, amplitudes and
+span are those functions' results bit for bit.  Its tangent draw uses
+the block structure of the metric to sample in O(D) what
 ``metric_tensor`` + ``random_tangent_step`` sample through an O(D^3)
 eigendecomposition (see :func:`_tangent`; those two stay as its test
 oracle).  The scan draws the directions in the order a probe-by-probe
@@ -43,6 +45,7 @@ from scipy.optimize import brentq, minimize_scalar
 
 from ._seeds import spawn
 from .hilbert import HALF_PI, StateVector, fs_distance, random_state
+from .hilbert import _amplitudes, _chart, _dots, _fs_distances, _sq_norms
 
 __all__ = [
     "WalkConfig",
@@ -64,8 +67,6 @@ __all__ = [
 #: Default relative width (in units of pi/2) to which the per-trial
 #: critical stride is bracketed.
 BRACKET_REL_WIDTH = 1e-3
-
-EPSILON_MODES = ("paper", "fixed")
 
 #: Version of the random stream walks draw their directions from.  It
 #: changes whenever a (seed, config) pair would give other walk rows;
@@ -237,56 +238,8 @@ def _exact_stride(
 
 # --- walk kernel -------------------------------------------------------------
 #
-# Raw-array forms of the hilbert chart functions, over a leading batch
-# axis of K walkers.  Every operation acts on each row alone (row dot
-# products go through matmul on (K, 1, n) @ (K, n, 1) stacks, one BLAS
-# dot per row), so a row's bits do not depend on the batch it sits in.
-
-
-def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Row-wise x . y of real (K, n) arrays."""
-    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
-
-
-def _sq_norms(x: np.ndarray) -> np.ndarray:
-    """Row-wise x . x of a real (K, n) array."""
-    return _dots(x, x)
-
-
-def _amplitudes(theta: np.ndarray) -> np.ndarray:
-    """``state_from_angles`` on (K, 2n) angles: normalized (K, n + 1) amplitudes."""
-    k, p = theta.shape
-    n = p // 2
-    mag = theta[:, :n]
-    ones = np.ones((k, 1))
-    sines = np.cumprod(np.concatenate((ones, np.sin(mag)), axis=1), axis=1)
-    moduli = sines * np.concatenate((np.cos(mag), ones), axis=1)
-    amps = moduli * np.exp(1j * np.concatenate((theta[:, n:], np.zeros((k, 1))), axis=1))
-    norm = np.sqrt(_sq_norms(amps.real) + _sq_norms(amps.imag))
-    return amps / norm[:, None]
-
-
-def _fs_distances(a: np.ndarray, amps: np.ndarray) -> np.ndarray:
-    """``fs_distance`` from the amplitudes ``a`` to each row of ``amps``."""
-    inner = np.array([np.vdot(a, row) for row in amps])
-    ortho = amps - inner[:, None] * a
-    return np.arctan2(np.sqrt(_sq_norms(ortho.real) + _sq_norms(ortho.imag)), np.abs(inner))
-
-
-def _chart(amps: np.ndarray):
-    """``to_coords`` on (K, D) amplitudes: angles, moduli m and tail norms t.
-
-    m holds the moduli once the global phase is fixed, and t_k the norm
-    of (m_k, ..., m_{D-1}); the metric at the angles is read off both.
-    """
-    last = amps[:, -1:]
-    a = np.where(last != 0, amps * np.exp(-1j * np.angle(last)), amps)
-    m = np.abs(a)
-    tail = np.sqrt(np.cumsum((m * m)[:, ::-1], axis=1)[:, ::-1])
-    mag = np.arctan2(tail[:, 1:], m[:, :-1])
-    ph = np.where(m[:, :-1] == 0.0, 0.0, np.mod(np.angle(a[:, :-1]), 2 * np.pi))
-    ph[ph >= 2 * np.pi] = 0.0
-    return np.concatenate((mag, ph), axis=1), m, tail
+# Tangent draws and lockstep batches on the chart kernel of qspan.hilbert.
+# As there, every operation acts on each row alone.
 
 
 def _tangent(m, tail, strides, xi):
@@ -409,19 +362,18 @@ def critical_step_for_trial(
     epsilon_mode: str = "paper",
     epsilon: float | None = None,
     exact_step: bool = False,
-    bracket_rel_width: float = BRACKET_REL_WIDTH,
 ) -> TrialCritical:
     """Smallest stride at which this trial's walk reaches the far edge.
 
     The trial's substream is split once into an initial-state stream and
     a direction stream.  Candidate strides are scanned upward on an
-    additive grid of step ``bracket_rel_width * pi/2`` starting at the
+    additive grid of step ``BRACKET_REL_WIDTH * pi/2`` starting at the
     triangle-inequality floor (pi/2 - epsilon) / steps, below which no
     walk of ``steps`` strides can reach the far edge.  Each probe runs a
     full walk drawing fresh directions from the trial's stream, and the
     first succeeding stride is returned; every returned value is thereby
     bracketed between the last failing probe and itself, a bracket of
-    width at most bracket_rel_width * pi/2.  The top candidate is pi/2
+    width at most BRACKET_REL_WIDTH * pi/2.  The top candidate is pi/2
     exactly; a trial that still fails there is censored: recorded at
     pi/2 and flagged, to be excluded from averages by the caller.
 
@@ -448,7 +400,7 @@ def critical_step_for_trial(
     )
     floor = (HALF_PI - config.epsilon) / steps
     replace(config, delta_s=floor)  # the floor stride must be a valid stride
-    grid = bracket_rel_width * HALF_PI
+    grid = BRACKET_REL_WIDTH * HALF_PI
     strides = []
     s = floor
     while s < HALF_PI:
@@ -511,7 +463,6 @@ def critical_step_length(
     epsilon_mode: str = "paper",
     epsilon: float | None = None,
     exact_step: bool = False,
-    bracket_rel_width: float = BRACKET_REL_WIDTH,
 ) -> CriticalStepResult:
     """Mean critical stride over independent trials.
 
@@ -529,7 +480,6 @@ def critical_step_length(
             epsilon_mode=epsilon_mode,
             epsilon=epsilon,
             exact_step=exact_step,
-            bracket_rel_width=bracket_rel_width,
         )
         for trial_ss in spawn(seed, trials)
     ]

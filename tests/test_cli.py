@@ -501,6 +501,36 @@ def test_crashed_worker_is_runtime_failure(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("qspan: failed: ")
 
 
+def test_pool_capped_at_task_and_cpu_counts(monkeypatch, tmp_path):
+    sizes = []
+
+    class InlinePool:
+        """Runs the map in this process and records the pool size asked for."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    argv = ["--experiment", "walk-critical", "--steps", "3", "--trials", "4"]
+    rows = {}
+    for workers in ("1", "100000"):
+        out = str(tmp_path / f"w{workers}.csv")
+        assert main(argv + ["--workers", workers, "--out", out]) == 0
+        rows[workers] = read_result(out).rows
+    assert len(sizes) == 1
+    assert 1 <= sizes[0] <= min(4, os.cpu_count() or 1)
+    assert rows["100000"] == rows["1"]
+
+
 #: A valid value for every option, as config-file text, each one unlike
 #: the value the base run gets without it.
 OPTION_VALUES = {

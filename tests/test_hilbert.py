@@ -19,6 +19,7 @@ from qspan.hilbert import (
     state_from_angles,
     to_coords,
 )
+from qspan.hilbert import _amplitudes, _chart, _fs_distances
 
 HALF_PI = np.pi / 2
 
@@ -29,13 +30,23 @@ def ket(*amps):
 
 #: Real or imaginary part of an amplitude: exactly zero often, so chart
 #: edges come up, and otherwise clear of the subnormal range.
-_PART = st.one_of(st.just(0.0), st.floats(-1.0, 1.0).filter(lambda x: abs(x) >= 1e-6))
+_PART = st.one_of(st.just(0.0), st.floats(1e-6, 1.0), st.floats(-1.0, -1e-6))
 
 
 @st.composite
 def states(draw, dim):
     parts = np.array(draw(st.lists(_PART, min_size=2 * dim, max_size=2 * dim).filter(any)))
     return StateVector.from_array(parts[0::2] + 1j * parts[1::2])
+
+
+@st.composite
+def state_stacks(draw):
+    dim = draw(st.integers(1, 64))
+    return [draw(states(dim)) for _ in range(draw(st.integers(1, 8)))]
+
+
+def bits(x):
+    return np.asarray(x).view(np.uint64)
 
 
 @st.composite
@@ -153,6 +164,25 @@ class TestFsDistance:
         assert 0.0 <= d <= HALF_PI
         assert d == pytest.approx(fs_distance(b, a), abs=1e-14)
         assert fs_distance(a, a) <= 1e-12
+
+
+class TestChartKernel:
+    """The public chart functions are rows of the raw-array kernel, bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(state_stacks(), st.floats(-10.0, 10.0))
+    def test_public_functions_match_kernel_rows(self, stack, shift):
+        amps = np.array([psi.amplitudes for psi in stack])
+        theta = _chart(amps)[0]
+        angles = theta + shift  # off the canonical ranges too
+        moved = _amplitudes(angles)
+        spans = _fs_distances(stack[0].amplitudes, amps)
+        for k, psi in enumerate(stack):
+            np.testing.assert_array_equal(bits(to_coords(psi).theta), bits(theta[k]))
+            np.testing.assert_array_equal(
+                bits(state_from_angles(angles[k]).amplitudes), bits(moved[k])
+            )
+            assert bits(fs_distance(stack[0], psi)) == bits(spans[k])
 
 
 class TestCoordinates:
