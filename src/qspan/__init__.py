@@ -31,16 +31,12 @@ from .analysis import (
     overlap_probability_bound,
 )
 from .hilbert import (
-    DegenerateFrameError,
     HypersphericalCoords,
-    MetricFrame,
     StateVector,
-    TangentStep,
     from_coords,
     fs_distance,
     metric_tensor,
     random_state,
-    random_tangent_step,
     state_from_angles,
     to_coords,
 )
@@ -59,7 +55,6 @@ from .percolation import (
 )
 from .walk import (
     CriticalStepResult,
-    HeuristicModel,
     TrialCritical,
     UnitaryProbe,
     WalkConfig,
@@ -92,16 +87,12 @@ __all__ = [
     "fit_power_law",
     "fit_saturating_power_law",
     "overlap_probability_bound",
-    "DegenerateFrameError",
     "HypersphericalCoords",
-    "MetricFrame",
     "StateVector",
-    "TangentStep",
     "from_coords",
     "fs_distance",
     "metric_tensor",
     "random_state",
-    "random_tangent_step",
     "state_from_angles",
     "to_coords",
     "ClusterSet",
@@ -116,7 +107,6 @@ __all__ = [
     "pairwise_distances",
     "random_cloud",
     "CriticalStepResult",
-    "HeuristicModel",
     "TrialCritical",
     "UnitaryProbe",
     "WalkConfig",

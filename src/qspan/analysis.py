@@ -17,12 +17,13 @@ bound, and its empirical counterpart from sampled state pairs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import optimize
 
 from ._seeds import spawn
+from .hilbert import HALF_PI, _haar_rows
 
 __all__ = [
     "FitError",
@@ -36,8 +37,6 @@ __all__ = [
     "overlap_probability_bound",
     "empirical_concentration",
 ]
-
-HALF_PI = np.pi / 2
 
 
 class FitError(ValueError):
@@ -111,17 +110,8 @@ def fit_power_law(steps, strides) -> PowerLawFit:
     The fit is an unweighted least-squares line of log(2 delta_s / pi)
     against log M; B is reported with the positive-decay sign.
     """
-    m, ds = _validated_xy(steps, strides, 2)
-    intercept, slope, se_i, se_s, rss = _loglog_line(m, ds / HALF_PI)
-    amplitude = math.exp(intercept)
-    return PowerLawFit(
-        amplitude=amplitude,
-        exponent=-slope,
-        amplitude_stderr=amplitude * se_i,
-        exponent_stderr=se_s,
-        rss=rss,
-        n_points=int(m.size),
-    )
+    fit = fit_exponent_scaling(steps, np.asarray(strides, dtype=np.float64) / HALF_PI)
+    return replace(fit, exponent=-fit.exponent)
 
 
 def fit_exponent_scaling(x, y) -> PowerLawFit:
@@ -286,9 +276,7 @@ def empirical_concentration(
     for b, ss in enumerate(streams):
         count = min(_BATCH, samples - b * _BATCH)
         rng = np.random.default_rng(ss)
-        x = rng.standard_normal((count, 2, 2 * dim))
-        z = x[..., 0::2] + 1j * x[..., 1::2]
-        z /= np.linalg.norm(z, axis=-1, keepdims=True)
+        z = _haar_rows(dim, 2 * count, rng).reshape(count, 2, dim)
         overlap_sq = np.abs(np.einsum("ij,ij->i", z[:, 0].conj(), z[:, 1])) ** 2
         hits += int(np.count_nonzero(np.abs(overlap_sq - 1.0 / dim) >= epsilon))
         mean_acc += float(overlap_sq.sum())

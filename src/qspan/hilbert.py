@@ -11,8 +11,7 @@ ranging from 0 (same ray) to pi/2 (orthogonal rays).
 
 This module provides the pieces the walk and percolation drivers are
 built from: Haar-distributed random states, the Fubini-Study distance, a
-real coordinate chart, the metric tensor in that chart together with its
-eigenframe, and random tangent steps of prescribed metric length.
+real coordinate chart and the metric tensor in that chart.
 
 The chart uses D - 1 magnitude angles followed by D - 1 phases, packed
 into a single vector ``theta`` of length 2(D - 1).  Amplitudes are
@@ -35,32 +34,19 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "DEGENERACY_TOL",
-    "DegenerateFrameError",
     "StateVector",
     "HypersphericalCoords",
-    "MetricFrame",
-    "TangentStep",
     "random_state",
     "fs_distance",
     "to_coords",
     "from_coords",
     "state_from_angles",
     "metric_tensor",
-    "random_tangent_step",
 ]
 
 HALF_PI = np.pi / 2
 
-#: Eigenvalues below DEGENERACY_TOL times the largest eigenvalue are
-#: treated as metrically degenerate directions.
-DEGENERACY_TOL = 1e-10
-
 _NORM_TOL = 1e-12
-
-
-class DegenerateFrameError(RuntimeError):
-    """Every direction of a metric frame is degenerate; no step possible."""
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -146,56 +132,6 @@ class HypersphericalCoords:
         return self.theta[self.dim - 1 :]
 
 
-@dataclass(frozen=True, eq=False)
-class MetricFrame:
-    """Metric tensor at a chart point, eigendecomposed.
-
-    g = V diag(h) V^T with eigenvalues ascending in ``eigenvalues`` and
-    eigenvectors in the columns of ``eigenvectors``.  ``degenerate``
-    flags eigenvalues below ``DEGENERACY_TOL * max(h)``: directions with
-    numerically vanishing metric length, excluded from tangent steps.
-    """
-
-    g: np.ndarray
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    degenerate: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "g", _readonly(np.asarray(self.g, dtype=np.float64).copy()))
-        object.__setattr__(
-            self, "eigenvalues", _readonly(np.asarray(self.eigenvalues, dtype=np.float64).copy())
-        )
-        object.__setattr__(
-            self, "eigenvectors", _readonly(np.asarray(self.eigenvectors, dtype=np.float64).copy())
-        )
-        object.__setattr__(
-            self, "degenerate", _readonly(np.asarray(self.degenerate, dtype=bool).copy())
-        )
-
-    @property
-    def n_params(self) -> int:
-        return self.eigenvalues.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class TangentStep:
-    """A chart displacement with prescribed Fubini-Study length.
-
-    ``u`` is the unit direction in the orthonormal eigenframe (zero in
-    degenerate components); ``d_theta`` the resulting chart displacement
-    with d_theta^T g d_theta = target_length^2.
-    """
-
-    d_theta: np.ndarray
-    target_length: float
-    u: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "d_theta", _readonly(np.asarray(self.d_theta, float).copy()))
-        object.__setattr__(self, "u", _readonly(np.asarray(self.u, float).copy()))
-
-
 # --- chart kernel ------------------------------------------------------------
 #
 # The chart, its inverse and the Fubini-Study distance over a leading
@@ -258,11 +194,14 @@ def _haar_rows(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
     pairs are the real and imaginary parts of its amplitudes.  A row's
     norm is its own dot product (the BLAS dot ``np.linalg.norm`` uses),
     so row k is bit for bit the state the k-th of n sequential
-    :func:`random_state` calls would draw.
+    :func:`random_state` calls would draw.  Scaling the real block by
+    1/norm gives the bits of complex division by norm, since numpy
+    divides by a divisor with zero imaginary part as re*(1/n), im*(1/n),
+    and skips that division's complex arithmetic.
     """
     x = rng.standard_normal((n, 2 * dim))
     norm = np.sqrt(_sq_norms(x))
-    return x.view(np.complex128) / norm[:, None]
+    return (x * (1 / norm)[:, None]).view(np.complex128)
 
 
 def random_state(dim: int, rng: np.random.Generator) -> StateVector:
@@ -330,8 +269,8 @@ def from_coords(coords: HypersphericalCoords) -> StateVector:
     return state_from_angles(coords.theta)
 
 
-def metric_tensor(coords: HypersphericalCoords) -> MetricFrame:
-    """Fubini-Study metric in chart coordinates, with its eigenframe.
+def metric_tensor(coords: HypersphericalCoords) -> np.ndarray:
+    """Fubini-Study metric in chart coordinates, as a read-only (p, p) array.
 
     The metric is
 
@@ -348,16 +287,13 @@ def metric_tensor(coords: HypersphericalCoords) -> MetricFrame:
     * magnitude-phase cross block: exactly zero, since those overlaps
       are purely imaginary.
 
-    The matrix is eigendecomposed with eigenvalues ascending, and
-    eigenvalues below DEGENERACY_TOL * max(h) are flagged degenerate.
-    For dim 1 the frame is empty.
+    For dim 1 the metric is the empty (0, 0) array.
     """
     d = coords.dim
     n = d - 1
     p = 2 * n
     if p == 0:
-        empty = np.zeros(0)
-        return MetricFrame(np.zeros((0, 0)), empty, np.zeros((0, 0)), np.zeros(0, bool))
+        return _readonly(np.zeros((0, 0)))
     mag = coords.theta[:n]
     sin_sq = np.sin(mag) ** 2
     prefix = np.cumprod(np.concatenate(([1.0], sin_sq[:-1])))
@@ -365,50 +301,4 @@ def metric_tensor(coords: HypersphericalCoords) -> MetricFrame:
     g = np.zeros((p, p))
     g[np.arange(n), np.arange(n)] = prefix
     g[n:, n:] = np.diag(v) - np.outer(v, v)
-    h, vecs = np.linalg.eigh(g)
-    hmax = float(h[-1])
-    if hmax <= 0.0:
-        degenerate = np.ones(p, dtype=bool)
-    else:
-        degenerate = h < DEGENERACY_TOL * hmax
-    return MetricFrame(g=g, eigenvalues=h, eigenvectors=vecs, degenerate=degenerate)
-
-
-def random_tangent_step(
-    frame: MetricFrame, delta_s: float, rng: np.random.Generator
-) -> TangentStep:
-    """Random tangent direction scaled to metric length ``delta_s``.
-
-    The direction u is uniform on the unit sphere of the non-degenerate
-    eigenspace: a full-dimension standard normal draw has its degenerate
-    components zeroed and is then renormalized.  (The draw consumes the
-    same number of variates regardless of the degeneracy pattern, so
-    replayed streams stay aligned across probes.)  Scaling component i
-    by 1/sqrt(h_i) gives the chart displacement
-
-        d_theta = V (delta_s * u / sqrt(h)),
-
-    whose squared metric length d_theta^T g d_theta equals delta_s^2.
-
-    Raises :class:`DegenerateFrameError` when no direction is available.
-    A frame from :func:`metric_tensor` at dim >= 2 always has one: its
-    first diagonal entry is 1, so the largest eigenvalue is at least 1.
-    """
-    if not 0.0 < delta_s <= HALF_PI:
-        raise ValueError(f"delta_s must lie in (0, pi/2], got {delta_s}")
-    p = frame.n_params
-    active = ~frame.degenerate
-    if p == 0 or not np.any(active):
-        raise DegenerateFrameError("no non-degenerate direction to step along")
-    u = rng.standard_normal(p)
-    u[~active] = 0.0
-    norm = np.linalg.norm(u)
-    while norm == 0.0:  # vanishing draw; essentially impossible
-        u = rng.standard_normal(p)
-        u[~active] = 0.0
-        norm = np.linalg.norm(u)
-    u /= norm
-    scaled = np.zeros(p)
-    scaled[active] = delta_s * u[active] / np.sqrt(frame.eigenvalues[active])
-    d_theta = frame.eigenvectors @ scaled
-    return TangentStep(d_theta=d_theta, target_length=float(delta_s), u=u)
+    return _readonly(g)

@@ -26,12 +26,12 @@ in lockstep.  Its chart steps call the raw-array chart kernel that
 ``to_coords``, ``state_from_angles`` and ``fs_distance`` of
 :mod:`qspan.hilbert` wrap, so a walker's chart point, amplitudes and
 span are those functions' results bit for bit.  Its tangent draw uses
-the block structure of the metric to sample in O(D) what
-``metric_tensor`` + ``random_tangent_step`` sample through an O(D^3)
-eigendecomposition (see :func:`_tangent`; those two stay as its test
-oracle).  The scan draws the directions in the order a probe-by-probe
-scan draws them, so its strides equal those of a scan built from
-:func:`run_walk` bit for bit.  The draw defines walk stream
+the block structure of the metric to sample in O(D), with no
+eigendecomposition (see :func:`_tangent`); its tests check the draw
+against the metric ``metric_tensor`` returns, through the covariance
+S S^T = g^-1 of its root S.  The scan draws the directions in the
+order a probe-by-probe scan draws them, so its strides equal those of
+a scan built from :func:`run_walk` bit for bit.  The draw defines walk stream
 :data:`WALK_STREAM`, recorded in the metadata of walk results.
 """
 
@@ -51,7 +51,6 @@ __all__ = [
     "WalkConfig",
     "WalkRecord",
     "UnitaryProbe",
-    "HeuristicModel",
     "TrialCritical",
     "CriticalStepResult",
     "paper_epsilon",
@@ -257,15 +256,16 @@ def _tangent(m, tail, strides, xi):
 
         d_theta = stride * (u_mag / t, S u_ph)
 
-    has d_theta^T g d_theta = stride**2 exactly.  It is the eigenframe
-    draw of :func:`qspan.hilbert.random_tangent_step` up to a rotation
-    of u, hence equal in distribution (where no eigenvalue falls below
-    that draw's degeneracy cutoff), at O(D) cost instead of an O(D^3)
-    eigendecomposition.  Directions with P_k = 0 or v_d = 0 carry no
-    metric length and get no share of xi.  Where m_D = 0, A is singular
-    along the global phase; u_ph then comes from the projection
-    (I - sqrt(v) sqrt(v)^T) xi_ph, for which d_ph = stride * u_ph / sqrt(v)
-    has the same metric length.
+    has d_theta^T g d_theta = stride**2 exactly.  It is stride * R u for
+    the root R = diag(1/t) + S of g (block sum), with R R^T = g^-1 where
+    g is invertible, so a u uniform on the unit sphere of R^p gives
+    d_theta the covariance stride**2 g^-1 / p: steps uniform with
+    respect to the metric, at O(D) cost and with no eigendecomposition.
+    Directions with P_k = 0 or v_d = 0 carry no metric length and get
+    no share of xi.  Where m_D = 0, A is singular along the global
+    phase; u_ph then comes from the projection (I - sqrt(v) sqrt(v)^T)
+    xi_ph, for which d_ph = stride * u_ph / sqrt(v) has the same metric
+    length.
 
     Returns None when some row of the masked draw vanishes.
     """
@@ -500,21 +500,6 @@ def dimension_factor(qubits: int) -> float:
     if qubits < 1:
         raise ValueError(f"qubits must be >= 1, got {qubits}")
     return 10.5 * qubits**-1.5
-
-
-@dataclass(frozen=True)
-class HeuristicModel:
-    """Diffusive span estimate and the factor it is built from."""
-
-    dimension_factor: float
-    span_estimate: float
-
-    @classmethod
-    def evaluate(cls, delta_s: float, steps: int, qubits: int) -> "HeuristicModel":
-        return cls(
-            dimension_factor=dimension_factor(qubits),
-            span_estimate=heuristic_span(delta_s, steps, qubits),
-        )
 
 
 def heuristic_span(delta_s: float, steps: int, qubits: int) -> float:

@@ -237,7 +237,7 @@ def test_criterion_7_geometry_oracles(capsys):
         psi = random_state(dim, rng)
         coords = to_coords(psi)
         theta = np.asarray(coords.theta)
-        g = metric_tensor(coords).g
+        g = metric_tensor(coords)
         u = rng.standard_normal(theta.size)
         u /= np.linalg.norm(u)
         quad = float(u @ g @ u)

@@ -7,15 +7,12 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from qspan.hilbert import (
-    DEGENERACY_TOL,
-    DegenerateFrameError,
     HypersphericalCoords,
     StateVector,
     from_coords,
     fs_distance,
     metric_tensor,
     random_state,
-    random_tangent_step,
     state_from_angles,
     to_coords,
 )
@@ -236,36 +233,40 @@ class TestCoordinates:
 class TestMetricTensor:
     def test_qubit_magnitude_component_is_one(self):
         for theta1 in (0.2, 0.7, 1.1):
-            frame = metric_tensor(
-                HypersphericalCoords(np.array([theta1, 0.3]), 2)
-            )
-            assert frame.g[0, 0] == pytest.approx(1.0, abs=1e-12)
+            g = metric_tensor(HypersphericalCoords(np.array([theta1, 0.3]), 2))
+            assert g[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_qubit_phase_component(self):
         # g_22 = cos^2(theta) sin^2(theta), = 1/4 at theta = pi/4
-        frame = metric_tensor(HypersphericalCoords(np.array([np.pi / 4, 0.0]), 2))
-        assert frame.g[1, 1] == pytest.approx(0.25, abs=1e-12)
+        g = metric_tensor(HypersphericalCoords(np.array([np.pi / 4, 0.0]), 2))
+        assert g[1, 1] == pytest.approx(0.25, abs=1e-12)
 
     def test_qubit_off_diagonal_vanishes(self):
         for theta in (0.1, 0.9, 1.4):
-            frame = metric_tensor(HypersphericalCoords(np.array([theta, 1.0]), 2))
-            assert frame.g[0, 1] == pytest.approx(0.0, abs=1e-14)
+            g = metric_tensor(HypersphericalCoords(np.array([theta, 1.0]), 2))
+            assert g[0, 1] == pytest.approx(0.0, abs=1e-14)
 
     def test_symmetry_and_reconstruction(self):
+        # Rebuilt from the moduli m and tail norms t of the state:
+        # diag(t_k^2) on the magnitudes, diag(v) - v v^T with v = m^2
+        # on the phases, zero across.
         psi = random_state(8, np.random.default_rng(21))
-        frame = metric_tensor(to_coords(psi))
-        assert np.max(np.abs(frame.g - frame.g.T)) <= 1e-12
-        rebuilt = frame.eigenvectors @ np.diag(frame.eigenvalues) @ frame.eigenvectors.T
-        assert np.max(np.abs(rebuilt - frame.g)) <= 1e-10
-        gram = frame.eigenvectors.T @ frame.eigenvectors
-        assert np.max(np.abs(gram - np.eye(frame.n_params))) <= 1e-10
+        g = metric_tensor(to_coords(psi))
+        assert np.max(np.abs(g - g.T)) <= 1e-12
+        _, m, tail = _chart(psi.amplitudes[None])
+        v = m[0, :-1] ** 2
+        rebuilt = np.zeros_like(g)
+        n = v.size
+        rebuilt[:n, :n] = np.diag(tail[0, :n] ** 2)
+        rebuilt[n:, n:] = np.diag(v) - np.outer(v, v)
+        assert np.max(np.abs(rebuilt - g)) <= 1e-12
 
     def test_positive_semidefinite(self):
         rng = np.random.default_rng(22)
-        frame = metric_tensor(to_coords(random_state(8, rng)))
+        g = metric_tensor(to_coords(random_state(8, rng)))
         for _ in range(100):
-            delta = rng.standard_normal(frame.n_params)
-            assert delta @ frame.g @ delta >= -1e-10
+            delta = rng.standard_normal(g.shape[0])
+            assert delta @ g @ delta >= -1e-10
 
     def test_quadratic_form_matches_distance(self):
         # fs_distance(psi(theta), psi(theta + delta))^2 = delta^T g delta
@@ -273,13 +274,13 @@ class TestMetricTensor:
         rng = np.random.default_rng(23)
         psi = random_state(8, rng)
         coords = to_coords(psi)
-        frame = metric_tensor(coords)
-        direction = rng.standard_normal(frame.n_params)
+        g = metric_tensor(coords)
+        direction = rng.standard_normal(g.shape[0])
         direction /= np.linalg.norm(direction)
 
         def residual(scale):
             moved = state_from_angles(coords.theta + scale * direction)
-            quad = scale**2 * (direction @ frame.g @ direction)
+            quad = scale**2 * (direction @ g @ direction)
             return abs(fs_distance(psi, moved) ** 2 - quad)
 
         r1, r2 = residual(1e-3), residual(5e-4)
@@ -288,59 +289,15 @@ class TestMetricTensor:
     def test_global_phase_leaves_spectrum(self):
         psi = random_state(4, np.random.default_rng(24))
         rotated = StateVector(psi.amplitudes * np.exp(1j * 0.77))
-        h1 = metric_tensor(to_coords(psi)).eigenvalues
-        h2 = metric_tensor(to_coords(rotated)).eigenvalues
+        h1 = np.linalg.eigvalsh(metric_tensor(to_coords(psi)))
+        h2 = np.linalg.eigvalsh(metric_tensor(to_coords(rotated)))
         assert np.max(np.abs(h1 - h2)) <= 1e-10
 
     def test_degenerate_directions_flagged(self):
         # theta_1 = 0 kills the phase direction of a qubit
-        frame = metric_tensor(HypersphericalCoords(np.array([0.0, 0.0]), 2))
-        assert frame.degenerate.tolist() == [True, False]
-        assert frame.eigenvalues[0] < DEGENERACY_TOL
+        g = metric_tensor(HypersphericalCoords(np.array([0.0, 0.0]), 2))
+        assert g[1, 1] == 0.0
 
     def test_dimension_one_empty_frame(self):
-        frame = metric_tensor(to_coords(ket(1.0)))
-        assert frame.n_params == 0
-
-
-class TestRandomTangentStep:
-    @pytest.mark.parametrize("dim", [2, 4, 8])
-    def test_quadratic_form_invariant(self, dim):
-        rng = np.random.default_rng(31)
-        frame = metric_tensor(to_coords(random_state(dim, rng)))
-        for delta_s in (0.01, 0.3, HALF_PI):
-            step = random_tangent_step(frame, delta_s, rng)
-            quad = step.d_theta @ frame.g @ step.d_theta
-            assert quad == pytest.approx(delta_s**2, rel=1e-8)
-            assert np.linalg.norm(step.u) == pytest.approx(1.0, abs=1e-12)
-
-    def test_degenerate_components_zero(self):
-        frame = metric_tensor(HypersphericalCoords(np.array([0.0, 0.0]), 2))
-        rng = np.random.default_rng(32)
-        step = random_tangent_step(frame, 0.1, rng)
-        assert step.u[frame.degenerate] == pytest.approx(0.0, abs=0.0)
-
-    def test_direction_uniform_on_circle(self):
-        # At a generic qubit point the active frame is 2-dimensional;
-        # the step direction angle should be uniform on the circle.
-        rng = np.random.default_rng(33)
-        frame = metric_tensor(HypersphericalCoords(np.array([0.6, 1.0]), 2))
-        assert not frame.degenerate.any()
-        angles = np.empty(10_000)
-        for i in range(angles.size):
-            u = random_tangent_step(frame, 0.1, rng).u
-            angles[i] = np.arctan2(u[1], u[0])
-        counts, _ = np.histogram(angles, bins=20, range=(-np.pi, np.pi))
-        result = stats.chisquare(counts)
-        assert result.pvalue > 0.01
-
-    def test_all_degenerate_raises(self):
-        frame = metric_tensor(to_coords(ket(1.0)))
-        with pytest.raises(DegenerateFrameError):
-            random_tangent_step(frame, 0.1, np.random.default_rng(34))
-
-    def test_stride_validation(self):
-        frame = metric_tensor(to_coords(random_state(2, np.random.default_rng(35))))
-        for bad in (0.0, -0.1, HALF_PI + 0.01):
-            with pytest.raises(ValueError):
-                random_tangent_step(frame, bad, np.random.default_rng(0))
+        g = metric_tensor(to_coords(ket(1.0)))
+        assert g.shape == (0, 0)

@@ -13,7 +13,6 @@ from qspan.walk import (
     _tangent,
     BRACKET_REL_WIDTH,
     CriticalStepResult,
-    HeuristicModel,
     TrialCritical,
     UnitaryProbe,
     WalkConfig,
@@ -151,11 +150,11 @@ def tangent_draws(amplitudes, delta_s, k, seed):
 
 
 def metric_at(amplitudes):
-    return metric_tensor(to_coords(StateVector.from_array(amplitudes))).g
+    return metric_tensor(to_coords(StateVector.from_array(amplitudes)))
 
 
 class TestTangentSampler:
-    """The closed-form draw against the eigendecomposed metric of qspan.hilbert."""
+    """The closed-form draw against the metric tensor of qspan.hilbert."""
 
     @pytest.mark.parametrize("dim", [2, 4, 16])
     def test_metric_length_equals_stride(self, dim):
@@ -371,11 +370,6 @@ class TestHeuristics:
         s1 = heuristic_span(0.2, 50, 2)
         s2 = heuristic_span(0.2, 100, 2)
         assert s2 / s1 == pytest.approx(math.sqrt(2), rel=1e-12)
-
-    def test_model_bundle(self):
-        model = HeuristicModel.evaluate(0.1, 100, 1)
-        assert model.dimension_factor == pytest.approx(10.5)
-        assert model.span_estimate == pytest.approx(heuristic_span(0.1, 100, 1))
 
 
 class TestUnitarySpan:
