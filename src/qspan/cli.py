@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import os
 import sys
 import time
@@ -38,11 +39,7 @@ from .analysis import (
     fit_power_law,
     fit_saturating_power_law,
 )
-from .percolation import (
-    ExperimentFailureError,
-    InsufficientPointsError,
-    critical_threshold_sample,
-)
+from .percolation import ExperimentFailureError, critical_threshold_sample
 from .walk import _MAX_BATCH as _WALK_BATCH, WALK_STREAM, critical_step_for_trial
 
 __all__ = [
@@ -132,13 +129,25 @@ def _largest_array_bytes(config: ExperimentConfig) -> int:
     return 0
 
 
+def _count(value, field: str) -> int:
+    """``value`` as a plain int; bools, strings and fractions are refused."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise UsageError(f"{field}: expected an integer, got {value!r}")
+
+
 def _int_tuple(value, field: str) -> tuple[int, ...]:
     try:
-        items = tuple(int(v) for v in value)
-    except (TypeError, ValueError) as exc:
+        items = tuple(_count(v, field) for v in value)
+    except TypeError as exc:
         raise UsageError(f"{field}: expected integers, got {value!r}") from exc
     if not items:
         raise UsageError(f"{field}: list must not be empty")
+    if len(set(items)) < len(items):
+        raise UsageError(f"{field}: counts must not repeat, got {list(items)}")
     return items
 
 
@@ -146,13 +155,14 @@ def _int_tuple(value, field: str) -> tuple[int, ...]:
 class ExperimentConfig:
     """Validated description of one experiment run.
 
-    ``steps`` is the step-count list M for walk experiments and doubles
-    as the cloud-size list for percolation experiments (one threshold
-    survey per (qubits, size) pair).  ``epsilon_mode`` is "paper" for
-    the dimension-tied success margin or "fixed" with an explicit
-    ``epsilon``; concentration always needs an explicit epsilon (there
-    it is the overlap deviation, not a span margin).  Device parameters
-    are only read by the accessibility experiment.
+    ``qubits`` and ``steps`` are lists of distinct whole counts; ``steps``
+    is the step-count list M for walk experiments and doubles as the
+    cloud-size list (at least 2 points) for percolation experiments (one
+    threshold survey per (qubits, size) pair).  ``epsilon`` None is the
+    paper's dimension-tied walk margin and a number a fixed one;
+    concentration always needs a number (there it is the overlap
+    deviation, not a span margin).  Device parameters are only read by
+    the accessibility experiment.
     """
 
     kind: str
@@ -160,7 +170,6 @@ class ExperimentConfig:
     steps: tuple = (10,)
     trials: int | None = None
     samples: int | None = None
-    epsilon_mode: str = "paper"
     epsilon: float | None = None
     exact_step: bool = False
     seed: int = 0
@@ -170,7 +179,6 @@ class ExperimentConfig:
     j_over_h_hz: float = 5.0e9
     t_decoherence_s: float = 10.0e-9
     t_evolution_s: float = 5.0e-6
-    c_constant: float = 1.0
 
     def __post_init__(self) -> None:
         if self.kind not in EXPERIMENT_KINDS:
@@ -184,37 +192,31 @@ class ExperimentConfig:
             raise UsageError(f"qubits: counts must be >= 1, got {list(self.qubits)}")
         if any(m < 1 for m in self.steps):
             raise UsageError(f"steps: counts must be >= 1, got {list(self.steps)}")
-        for name in ("trials", "samples"):
+        for name in ("trials", "samples", "workers"):
             v = getattr(self, name)
-            if v is not None and v < 1:
-                raise UsageError(f"{name}: must be >= 1, got {v}")
-        if self.epsilon_mode not in ("paper", "fixed"):
-            raise UsageError(f"epsilon_mode: expected paper or fixed, got {self.epsilon_mode!r}")
-        if self.epsilon_mode == "fixed" and self.epsilon is None:
-            raise UsageError("epsilon: fixed mode needs a numeric value")
-        if self.epsilon_mode == "paper" and self.epsilon is not None:
-            raise UsageError("epsilon: paper mode derives the margin; drop the numeric value")
+            if v is not None:
+                object.__setattr__(self, name, v := _count(v, name))
+                if v < 1:
+                    raise UsageError(f"{name}: must be >= 1, got {v}")
+        survey = _row_kind(self.kind, self.trials)
+        if survey == "percolation-critical" and min(self.steps) < 2:
+            raise UsageError(f"steps: percolation clouds need >= 2 points, got {list(self.steps)}")
         if self.epsilon is not None:
             if not (math.isfinite(self.epsilon) and self.epsilon > 0):
                 raise UsageError(f"epsilon: must be a finite number > 0, got {self.epsilon}")
-            walk = _row_kind(self.kind, self.trials) == "walk-critical"
-            if walk and self.epsilon >= math.pi / 2:
+            if survey == "walk-critical" and self.epsilon >= math.pi / 2:
                 raise UsageError(f"epsilon: walk margins must be < pi/2, got {self.epsilon}")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise UsageError(f"seed: must be an integer, got {self.seed!r}")
         if not 0 <= self.seed < 2**64:
             raise UsageError(f"seed: must fit in 64 bits, got {self.seed}")
-        if self.workers < 1:
-            raise UsageError(f"workers: must be >= 1, got {self.workers}")
         if self.format not in ("csv", "json"):
             raise UsageError(f"format: expected csv or json, got {self.format!r}")
-        for name in ("j_over_h_hz", "t_decoherence_s", "t_evolution_s", "c_constant"):
+        for name in ("j_over_h_hz", "t_decoherence_s", "t_evolution_s"):
             if not 0 < getattr(self, name) < math.inf:
                 raise UsageError(f"{name}: must be finite and positive, got {getattr(self, name)}")
         if self.kind == "accessibility":
-            device = DeviceParams(
-                1, self.j_over_h_hz, self.t_decoherence_s, self.t_evolution_s, self.c_constant
-            )
+            device = DeviceParams(1, self.j_over_h_hz, self.t_decoherence_s, self.t_evolution_s)
             try:
                 max_qubits(device)
             except ValueError as exc:
@@ -302,10 +304,8 @@ def _seeded_survey(config: ExperimentConfig, kind: str, count: int, fn, *extra) 
 
 
 def _walk_trial_task(task):
-    qubits, steps, seed_seq, epsilon_mode, epsilon, exact_step = task
-    t = critical_step_for_trial(
-        qubits, steps, seed_seq, epsilon_mode=epsilon_mode, epsilon=epsilon, exact_step=exact_step
-    )
+    qubits, steps, seed_seq, epsilon, exact_step = task
+    t = critical_step_for_trial(qubits, steps, seed_seq, epsilon=epsilon, exact_step=exact_step)
     return t.value, t.censored
 
 
@@ -320,8 +320,7 @@ def _row(kind: str, *values) -> dict:
 
 def _walk_rows(config: ExperimentConfig) -> list:
     outcomes = _seeded_survey(
-        config, "walk-critical", config.trials, _walk_trial_task,
-        config.epsilon_mode, config.epsilon, config.exact_step,
+        config, "walk-critical", config.trials, _walk_trial_task, config.epsilon, config.exact_step
     )
     return [
         _row("walk-critical", n, m, i, float(value), bool(censored))
@@ -369,7 +368,6 @@ def _accessibility_rows(config: ExperimentConfig) -> list:
                 j_over_h=config.j_over_h_hz,
                 t_decoherence=config.t_decoherence_s,
                 t_evolution=config.t_evolution_s,
-                c_constant=config.c_constant,
             )
         )
         device = (config.j_over_h_hz, config.t_decoherence_s, config.t_evolution_s)
@@ -664,20 +662,20 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected true/false, yes/no, on/off or 1/0, got {text!r}")
 
 
-def _parse_epsilon(text: str) -> tuple:
-    """``paper`` or a number -> (epsilon_mode, epsilon)."""
+def _parse_epsilon(text: str) -> float | None:
+    """``paper`` (None: the dimension-tied margin) or a number."""
     if text == "paper":
-        return "paper", None
+        return None
     try:
-        return "fixed", float(text)
+        return float(text)
     except ValueError as exc:
         raise ValueError(f"expected 'paper' or a number, got {text!r}") from exc
 
 
 #: Flag (``--`` plus the key with ``-`` for ``_``) or config-file key ->
 #: (parser of its text, help).  Each key is the ExperimentConfig field it
-#: sets, except ``experiment`` (sets ``kind``) and ``epsilon`` (sets
-#: ``epsilon_mode`` and ``epsilon``); defaults are the fields' defaults.
+#: sets, except ``experiment`` (sets ``kind``); defaults are the fields'
+#: defaults.
 _OPTIONS = {
     "experiment": (str, "experiment kind: " + ", ".join(EXPERIMENT_KINDS)),
     "qubits": (_parse_int_list, "comma-separated qubit counts"),
@@ -686,7 +684,7 @@ _OPTIONS = {
     "samples": (int, "samples per cell (percolation/concentration)"),
     "epsilon": (
         _parse_epsilon,
-        "success margin: 'paper' (dimension-tied) or a number in (0, pi/2)",
+        "success margin: 'paper' (dimension-tied, the default) or a number in (0, pi/2)",
     ),
     "exact_step": (_parse_bool, "rescale each stride so the realized distance matches exactly"),
     "seed": (int, "64-bit master seed"),
@@ -696,14 +694,13 @@ _OPTIONS = {
     "j_over_h_hz": (float, "qubit coupling frequency in Hz"),
     "t_decoherence_s": (float, "decoherence time in seconds"),
     "t_evolution_s": (float, "total evolution time in seconds"),
-    "c_constant": (float, "heuristic margin constant"),
 }
 
 
 def _help(key: str) -> str:
     """The option's help, ending in its ExperimentConfig default if it has one."""
     defaults = {f.name: f.default for f in fields(ExperimentConfig)}
-    default = defaults.get("epsilon_mode" if key == "epsilon" else key)
+    default = defaults.get(key)
     text = _OPTIONS[key][1]
     if default is None or default is MISSING:
         return text
@@ -778,17 +775,16 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     if "experiment" not in values:
         raise UsageError("experiment: required (flag --experiment or config file)")
     values["kind"] = values.pop("experiment")
-    if "epsilon" in values:
-        values["epsilon_mode"], values["epsilon"] = values.pop("epsilon")
     return ExperimentConfig(**values)
 
 
 def main(argv=None) -> int:
     """Entry point: run one experiment, write one result file.
 
-    Exit codes: 0 on success, 2 for configuration problems (including
-    preconditions such as percolation clouds of fewer than two points),
-    1 for runtime failures.
+    Exit codes: 0 on success, 2 for configuration problems, all found
+    before anything is drawn (among them percolation clouds of fewer than
+    two points and arrays larger than physical memory), 1 for runtime
+    failures.
     """
     args = _build_parser().parse_args(argv)
     try:
@@ -799,7 +795,7 @@ def main(argv=None) -> int:
         else:
             emit(result, config.format, config.out)
             print(f"qspan: wrote {config.out} ({len(result.rows)} rows)", file=sys.stderr)
-    except (UsageError, InsufficientPointsError) as exc:
+    except UsageError as exc:
         print(f"qspan: error: {exc}", file=sys.stderr)
         return 2
     except (ExperimentFailureError, FitError, FileError, BrokenProcessPool) as exc:

@@ -10,10 +10,10 @@ metric.  After every step the span
 is recorded.  The walk has reached the far edge when its final span
 comes within ``epsilon`` of the maximal distance pi/2.
 
-Two success margins are supported.  Mode ``"paper"`` ties the margin to
-the dimension: epsilon = pi/2 - arccos(1/sqrt(D)), i.e. the walker only
-has to get as far from the start as a typical independent random state
-would already be.  Mode ``"fixed"`` uses an explicit value.
+Without an explicit ``epsilon`` the margin is the paper's, tied to the
+dimension: epsilon = pi/2 - arccos(1/sqrt(D)), i.e. the walker only has
+to get as far from the start as a typical independent random state
+would already be.
 
 The per-trial critical stride is the smallest delta_s at which a walk
 from the trial's initial state reaches the far edge, located by probing
@@ -96,8 +96,8 @@ def paper_epsilon(qubits: int) -> float:
 class WalkConfig:
     """Parameters of one walk.
 
-    ``epsilon`` may be omitted in mode "paper" (it is then filled in
-    from the qubit count) but must be given in mode "fixed".  With
+    ``epsilon`` None is filled in with :func:`paper_epsilon` of the
+    qubit count; an explicit margin must lie in (0, pi/2].  With
     ``exact_step`` the raw tangent displacement is rescaled by a root
     find so each realized step distance equals delta_s to relative 1e-6,
     instead of only to first order.
@@ -106,7 +106,6 @@ class WalkConfig:
     qubits: int
     steps: int
     delta_s: float
-    epsilon_mode: str = "paper"
     epsilon: float | None = None
     exact_step: bool = False
 
@@ -117,21 +116,10 @@ class WalkConfig:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if not 0.0 < self.delta_s <= HALF_PI:
             raise ValueError(f"delta_s must lie in (0, pi/2], got {self.delta_s}")
-        if self.epsilon_mode == "paper":
-            want = paper_epsilon(self.qubits)
-            if self.epsilon is None:
-                object.__setattr__(self, "epsilon", want)
-            elif abs(self.epsilon - want) > 1e-12:
-                raise ValueError(
-                    "epsilon in paper mode is determined by the qubit count"
-                )
-        elif self.epsilon_mode == "fixed":
-            if self.epsilon is None:
-                raise ValueError("fixed epsilon mode requires an epsilon value")
-            if not 0.0 < self.epsilon <= HALF_PI:
-                raise ValueError(f"epsilon must lie in (0, pi/2], got {self.epsilon}")
-        else:
-            raise ValueError(f"unknown epsilon_mode {self.epsilon_mode!r}")
+        if self.epsilon is None:
+            object.__setattr__(self, "epsilon", paper_epsilon(self.qubits))
+        elif not 0.0 < self.epsilon <= HALF_PI:
+            raise ValueError(f"epsilon must lie in (0, pi/2], got {self.epsilon}")
 
     @property
     def dim(self) -> int:
@@ -359,7 +347,6 @@ def critical_step_for_trial(
     steps: int,
     trial_seed,
     *,
-    epsilon_mode: str = "paper",
     epsilon: float | None = None,
     exact_step: bool = False,
 ) -> TrialCritical:
@@ -391,12 +378,7 @@ def critical_step_for_trial(
     through :class:`WalkConfig` before anything is drawn.
     """
     config = WalkConfig(
-        qubits=qubits,
-        steps=steps,
-        delta_s=HALF_PI,
-        epsilon_mode=epsilon_mode,
-        epsilon=epsilon,
-        exact_step=exact_step,
+        qubits=qubits, steps=steps, delta_s=HALF_PI, epsilon=epsilon, exact_step=exact_step
     )
     floor = (HALF_PI - config.epsilon) / steps
     replace(config, delta_s=floor)  # the floor stride must be a valid stride
@@ -460,7 +442,6 @@ def critical_step_length(
     trials: int,
     seed,
     *,
-    epsilon_mode: str = "paper",
     epsilon: float | None = None,
     exact_step: bool = False,
 ) -> CriticalStepResult:
@@ -473,14 +454,7 @@ def critical_step_length(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     outcomes = [
-        critical_step_for_trial(
-            qubits,
-            steps,
-            trial_ss,
-            epsilon_mode=epsilon_mode,
-            epsilon=epsilon,
-            exact_step=exact_step,
-        )
+        critical_step_for_trial(qubits, steps, trial_ss, epsilon=epsilon, exact_step=exact_step)
         for trial_ss in spawn(seed, trials)
     ]
     values = np.array([t.value for t in outcomes])

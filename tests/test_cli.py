@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -62,16 +63,6 @@ class TestExperimentConfig:
         with pytest.raises(UsageError, match="epsilon"):
             ExperimentConfig(kind="concentration", samples=1000)
 
-    def test_paper_mode_rejects_numeric_epsilon(self):
-        with pytest.raises(UsageError, match="epsilon"):
-            ExperimentConfig(
-                kind="walk-critical", trials=1, epsilon_mode="paper", epsilon=0.1
-            )
-
-    def test_fixed_mode_requires_epsilon(self):
-        with pytest.raises(UsageError, match="epsilon"):
-            ExperimentConfig(kind="walk-critical", trials=1, epsilon_mode="fixed")
-
     def test_fit_needs_exactly_one_source(self):
         with pytest.raises(UsageError, match="fit"):
             ExperimentConfig(kind="fit")
@@ -95,6 +86,35 @@ class TestExperimentConfig:
     def test_bad_device_parameter(self):
         with pytest.raises(UsageError, match="t_decoherence_s"):
             ExperimentConfig(kind="accessibility", t_decoherence_s=0.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("qubits", "12"),
+            ("qubits", (1.5,)),
+            ("steps", (3, 5.0)),
+            ("trials", True),
+            ("trials", 2.5),
+            ("trials", "3"),
+            ("workers", 1.0),
+        ],
+    )
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(UsageError, match=field):
+            ExperimentConfig(**{**WALK, field: value})
+
+    def test_integer_like_counts_stored_as_ints(self):
+        config = ExperimentConfig(
+            kind="walk-critical", qubits=np.array([1, 2]), steps=(np.int32(3),),
+            trials=np.int64(4), workers=np.int8(1),
+        )
+        echo = config.as_dict()
+        assert echo["qubits"] == [1, 2] and echo["steps"] == [3]
+        for name in ("qubits", "steps"):
+            assert all(type(v) is int for v in echo[name])
+        for name in ("trials", "workers"):
+            assert type(echo[name]) is int
+        assert '"trials": 4' in render(run_experiment(config), "csv")
 
 
 class TestRunExperiment:
@@ -132,7 +152,6 @@ class TestRunExperiment:
                 kind="concentration",
                 qubits=(3, 4),
                 samples=2000,
-                epsilon_mode="fixed",
                 epsilon=0.1,
                 seed=7,
             )
@@ -245,7 +264,7 @@ class TestFloatEcho:
         path = str(tmp_path / f"a.{fmt}")
         emit(res, fmt, path)
         config = read_result(path).metadata["config"]
-        for name in ("j_over_h_hz", "t_decoherence_s", "t_evolution_s", "c_constant"):
+        for name in ("j_over_h_hz", "t_decoherence_s", "t_evolution_s"):
             assert type(config[name]) is float
             assert config[name] == res.metadata["config"][name]
         assert type(config["seed"]) is int
@@ -298,6 +317,22 @@ class TestMain:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--experiment", "percolation-critical", "--qubits", "10", "--steps", "200,1",
+             "--samples", "300"],
+            ["--experiment", "fit", "--steps", "1,5", "--samples", "3"],
+        ],
+    )
+    def test_one_point_cloud_refused_before_sampling(self, argv, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cloud was sampled")
+
+        monkeypatch.setattr(cli, "critical_threshold_sample", refuse)
+        assert main(argv) == 2
+        assert "steps: percolation clouds need >= 2 points" in capsys.readouterr().err
+
     def test_all_none_survey_is_runtime_failure(self, capsys):
         # two-point clouds of one qubit at seed 2: all three samples
         # come back without a threshold
@@ -346,7 +381,6 @@ class TestOutOfRangeInputs:
             ["--experiment", "accessibility", "--epsilon=-inf"],
             ["--experiment", "accessibility", "--j-over-h-hz", "inf"],
             ["--experiment", "accessibility", "--t-evolution-s", "inf"],
-            ["--experiment", "accessibility", "--c-constant", "nan"],
             ["--experiment", "walk-critical", "--trials", "1", "--epsilon", "1.5707963267948966"],
             ["--experiment", "fit", "--trials", "1", "--steps", "3,5",
              "--epsilon", "1.5707963267948966"],
@@ -356,6 +390,10 @@ class TestOutOfRangeInputs:
             ["--experiment", "accessibility", "--j-over-h-hz", "1.2064630423315639e-109",
              "--t-decoherence-s", "2.3741339035618108e-226",
              "--t-evolution-s", "6.503127303907095e-38"],
+            ["--experiment", "fit", "--steps", "10,10", "--trials", "1"],
+            ["--experiment", "walk-critical", "--qubits", "1,1", "--trials", "1"],
+            ["--experiment", "concentration", "--qubits", "2,2", "--samples", "1000",
+             "--epsilon", "0.1"],
         ],
     )
     def test_usage_error(self, argv, capsys):
@@ -366,12 +404,10 @@ class TestOutOfRangeInputs:
 
     def test_walk_bound_is_pi_over_two(self):
         below = math.nextafter(math.pi / 2, 0)
-        ExperimentConfig(kind="walk-critical", trials=1, epsilon_mode="fixed", epsilon=below)
+        ExperimentConfig(kind="walk-critical", trials=1, epsilon=below)
         for refused in (math.pi / 2, math.pi / 2 + 1e-9):
             with pytest.raises(UsageError, match="epsilon"):
-                ExperimentConfig(
-                    kind="walk-critical", trials=1, epsilon_mode="fixed", epsilon=refused
-                )
+                ExperimentConfig(kind="walk-critical", trials=1, epsilon=refused)
 
     def test_walk_margin_just_below_pi_over_two_runs(self, capsys):
         eps = repr(math.nextafter(math.pi / 2, 0))
@@ -402,8 +438,8 @@ class TestOutOfRangeInputs:
             ExperimentConfig(**config)
 
     def test_concentration_deviation_may_exceed_pi_over_two(self):
-        ExperimentConfig(kind="concentration", samples=1000, epsilon_mode="fixed", epsilon=2.0)
-        ExperimentConfig(kind="fit", samples=5, epsilon_mode="fixed", epsilon=2.0)
+        ExperimentConfig(kind="concentration", samples=1000, epsilon=2.0)
+        ExperimentConfig(kind="fit", samples=5, epsilon=2.0)
 
 
 class TestMemoryGuard:
@@ -450,8 +486,8 @@ class TestMemoryGuard:
             (dict(kind="percolation-critical", qubits=(4,), steps=(200,), samples=1),
              200 * 200 * 16),
             # min(8192, samples) pairs of 2D float64 normals
-            (dict(kind="concentration", qubits=(4,), samples=1000, epsilon_mode="fixed",
-                  epsilon=0.1), 1000 * 2 * 32 * 8),
+            (dict(kind="concentration", qubits=(4,), samples=1000, epsilon=0.1),
+             1000 * 2 * 32 * 8),
         ],
     )
     def test_refuses_exactly_above_physical_memory(self, monkeypatch, config, largest):
@@ -548,7 +584,6 @@ OPTION_VALUES = {
     "j_over_h_hz": "1e9",
     "t_decoherence_s": "2e-8",
     "t_evolution_s": "1e-6",
-    "c_constant": "2.5",
 }
 BASE_OPTIONS = {"experiment": "concentration", "samples": "1000", "epsilon": "0.5"}
 
@@ -580,6 +615,16 @@ class TestOptionTable:
     @pytest.mark.parametrize("key", sorted(OPTION_VALUES))
     def test_help_lists_option(self, key):
         assert "--" + key.replace("_", "-") in cli._build_parser().format_help()
+
+    def test_c_constant_is_not_an_option(self, tmp_path, capsys):
+        # the accessibility rows never read the heuristic margin constant
+        with pytest.raises(SystemExit) as exc:
+            main(["--experiment", "accessibility", "--c-constant", "2"])
+        assert exc.value.code == 2
+        path = tmp_path / "run.cfg"
+        path.write_text("experiment = accessibility\nc_constant = 2\n")
+        assert main(["--config", str(path)]) == 2
+        assert "unknown key" in capsys.readouterr().err
 
     def test_dashed_config_keys(self, tmp_path):
         path = tmp_path / "run.cfg"

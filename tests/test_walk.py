@@ -51,24 +51,24 @@ class TestWalkConfig:
         assert cfg.epsilon == pytest.approx(paper_epsilon(2))
         assert cfg.dim == 4
 
-    def test_paper_mode_rejects_conflicting_epsilon(self):
-        with pytest.raises(ValueError):
-            WalkConfig(qubits=1, steps=5, delta_s=0.1, epsilon=0.3)
+    def test_explicit_epsilon_is_kept(self):
+        # paper_epsilon(1) is pi/4; any margin in (0, pi/2] may replace it
+        for eps in (0.2, 0.3, HALF_PI):
+            assert WalkConfig(qubits=1, steps=5, delta_s=0.1, epsilon=eps).epsilon == eps
+        for eps in (0.0, -1.0, math.nan, HALF_PI + 1e-9):
+            with pytest.raises(ValueError):
+                WalkConfig(qubits=1, steps=5, delta_s=0.1, epsilon=eps)
 
-    def test_fixed_mode_requires_epsilon(self):
-        with pytest.raises(ValueError):
-            WalkConfig(qubits=1, steps=5, delta_s=0.1, epsilon_mode="fixed")
-        cfg = WalkConfig(qubits=1, steps=5, delta_s=0.1, epsilon_mode="fixed", epsilon=0.2)
-        assert cfg.epsilon == 0.2
+    def test_none_is_the_paper_epsilon(self):
+        for qubits in (1, 2, 3, 4):
+            implied = WalkConfig(qubits=qubits, steps=5, delta_s=0.1)
+            stated = WalkConfig(qubits=qubits, steps=5, delta_s=0.1, epsilon=paper_epsilon(qubits))
+            assert implied == stated
 
     @pytest.mark.parametrize("delta_s", [0.0, -1.0, HALF_PI + 1e-6])
     def test_stride_range(self, delta_s):
         with pytest.raises(ValueError):
             WalkConfig(qubits=1, steps=5, delta_s=delta_s)
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            WalkConfig(qubits=1, steps=5, delta_s=0.1, epsilon_mode="magic")
 
 
 class TestRunWalk:
@@ -239,10 +239,11 @@ class TestCriticalStep:
         assert res.censored_count == 0
         assert abs(res.mean / target - 1) <= 0.25
 
-    @pytest.mark.parametrize("mode", ["fixed", "magic"])
-    def test_bad_epsilon_arguments_raise_value_error(self, mode):
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan, HALF_PI, 2.0])
+    def test_bad_epsilon_arguments_raise_value_error(self, epsilon):
+        # at pi/2 the scan's floor stride (pi/2 - epsilon) / steps is zero
         with pytest.raises(ValueError):
-            critical_step_for_trial(1, 3, 5, epsilon_mode=mode)
+            critical_step_for_trial(1, 3, 5, epsilon=epsilon)
 
     def test_seed_sequence_is_not_consumed(self):
         ss = np.random.SeedSequence(3)
