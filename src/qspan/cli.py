@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import operator
 import os
 import sys
@@ -40,7 +41,7 @@ from .analysis import (
     fit_saturating_power_law,
 )
 from .percolation import ExperimentFailureError, critical_threshold_sample
-from .walk import _MAX_BATCH as _WALK_BATCH, WALK_STREAM, critical_step_for_trial
+from .walk import _PROBE_BLOCK, WALK_STREAM, critical_step_for_trial
 
 __all__ = [
     "EXPERIMENT_KINDS",
@@ -116,7 +117,7 @@ def _largest_array_bytes(config: ExperimentConfig) -> int:
     survey = _row_kind(config.kind, config.trials)
     if survey == "walk-critical":
         # one lockstep batch's (probes, steps, 2(D - 1)) block of normals
-        probes = 1 if config.exact_step else _WALK_BATCH
+        probes = 1 if config.exact_step else _PROBE_BLOCK
         return probes * max(config.steps) * 2 * (dim - 1) * 8
     if survey == "percolation-critical":
         # a cloud's (points, 2D) block of float64 normals (the same bytes as
@@ -137,6 +138,16 @@ def _count(value, field: str) -> int:
         except TypeError:
             pass
     raise UsageError(f"{field}: expected an integer, got {value!r}")
+
+
+def _real(value, field: str) -> float:
+    """``value`` as a plain float; bools, strings and other non-reals are refused."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise UsageError(f"{field}: expected a number, got {value!r}")
 
 
 def _int_tuple(value, field: str) -> tuple[int, ...]:
@@ -202,17 +213,23 @@ class ExperimentConfig:
         if survey == "percolation-critical" and min(self.steps) < 2:
             raise UsageError(f"steps: percolation clouds need >= 2 points, got {list(self.steps)}")
         if self.epsilon is not None:
+            object.__setattr__(self, "epsilon", _real(self.epsilon, "epsilon"))
             if not (math.isfinite(self.epsilon) and self.epsilon > 0):
                 raise UsageError(f"epsilon: must be a finite number > 0, got {self.epsilon}")
             if survey == "walk-critical" and self.epsilon >= math.pi / 2:
                 raise UsageError(f"epsilon: walk margins must be < pi/2, got {self.epsilon}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise UsageError(f"seed: must be an integer, got {self.seed!r}")
+        if not isinstance(self.exact_step, (bool, np.bool_)):
+            raise UsageError(f"exact_step: expected true or false, got {self.exact_step!r}")
+        object.__setattr__(self, "exact_step", bool(self.exact_step))
+        object.__setattr__(self, "seed", _count(self.seed, "seed"))
         if not 0 <= self.seed < 2**64:
             raise UsageError(f"seed: must fit in 64 bits, got {self.seed}")
+        if self.out is not None and not isinstance(self.out, str):
+            raise UsageError(f"out: expected a file path, got {self.out!r}")
         if self.format not in ("csv", "json"):
             raise UsageError(f"format: expected csv or json, got {self.format!r}")
         for name in ("j_over_h_hz", "t_decoherence_s", "t_evolution_s"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
             if not 0 < getattr(self, name) < math.inf:
                 raise UsageError(f"{name}: must be finite and positive, got {getattr(self, name)}")
         if self.kind == "accessibility":

@@ -5,8 +5,8 @@ measured number against its tolerance window.  One PASS/FAIL line per
 criterion is written straight to the terminal (bypassing capture) so a
 plain ``pytest tests/test_acceptance.py`` run reads as a checklist.
 
-The walk survey (criteria 1 and 2) is the long pole at roughly one
-minute on one core; the percolation survey takes about twenty seconds
+The walk survey (criteria 1 and 2) is the long pole at about twenty
+seconds on one core; the percolation survey takes under ten seconds
 and everything else finishes in seconds.
 """
 

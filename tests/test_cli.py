@@ -74,6 +74,8 @@ class TestExperimentConfig:
             ExperimentConfig(kind="walk-critical", trials=1, seed=-1)
         with pytest.raises(UsageError, match="seed"):
             ExperimentConfig(kind="walk-critical", trials=1, seed=2**64)
+        top = ExperimentConfig(kind="walk-critical", trials=1, seed=np.uint64(2**64 - 1))
+        assert top.seed == 2**64 - 1
 
     def test_bad_workers(self):
         with pytest.raises(UsageError, match="workers"):
@@ -82,6 +84,12 @@ class TestExperimentConfig:
     def test_bad_format(self):
         with pytest.raises(UsageError, match="format"):
             ExperimentConfig(kind="walk-critical", trials=1, format="xml")
+
+    @pytest.mark.parametrize("value", [1, b"a.csv"])
+    def test_out_must_be_a_path_string(self, value):
+        # open() would take the int 1 for stdout's descriptor and close it
+        with pytest.raises(UsageError, match="out"):
+            ExperimentConfig(kind="accessibility", out=value)
 
     def test_bad_device_parameter(self):
         with pytest.raises(UsageError, match="t_decoherence_s"):
@@ -97,6 +105,9 @@ class TestExperimentConfig:
             ("trials", 2.5),
             ("trials", "3"),
             ("workers", 1.0),
+            ("seed", True),
+            ("seed", 3.0),
+            ("seed", "3"),
         ],
     )
     def test_counts_must_be_integers(self, field, value):
@@ -106,15 +117,50 @@ class TestExperimentConfig:
     def test_integer_like_counts_stored_as_ints(self):
         config = ExperimentConfig(
             kind="walk-critical", qubits=np.array([1, 2]), steps=(np.int32(3),),
-            trials=np.int64(4), workers=np.int8(1),
+            trials=np.int64(4), workers=np.int8(1), seed=np.uint64(3),
         )
         echo = config.as_dict()
         assert echo["qubits"] == [1, 2] and echo["steps"] == [3]
         for name in ("qubits", "steps"):
             assert all(type(v) is int for v in echo[name])
-        for name in ("trials", "workers"):
+        for name in ("trials", "workers", "seed"):
             assert type(echo[name]) is int
-        assert '"trials": 4' in render(run_experiment(config), "csv")
+        text = render(run_experiment(config), "csv")
+        assert '"trials": 4' in text and '"seed": 3,' in text
+
+    @pytest.mark.parametrize("value", ["no", "", 0, 1, None, np.array(True)])
+    def test_exact_step_must_be_a_bool(self, value):
+        with pytest.raises(UsageError, match="exact_step"):
+            ExperimentConfig(kind="walk-critical", trials=1, exact_step=value)
+
+    def test_numpy_bool_exact_step_stored_as_bool(self):
+        config = ExperimentConfig(kind="accessibility", exact_step=np.True_)
+        assert type(config.exact_step) is bool and config.exact_step
+        assert '"exact_step": true' in render(run_experiment(config), "csv")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("epsilon", True),
+            ("epsilon", np.True_),
+            ("epsilon", "0.1"),
+            pytest.param("epsilon", 10**400, id="epsilon-overflows-float"),
+            ("j_over_h_hz", False),
+            ("t_evolution_s", "5e-6"),
+        ],
+    )
+    def test_reals_must_be_numbers(self, field, value):
+        with pytest.raises(UsageError, match=field):
+            ExperimentConfig(**{**WALK, field: value})
+
+    def test_real_like_scalars_stored_as_floats(self):
+        config = ExperimentConfig(
+            kind="accessibility", epsilon=np.int64(1), j_over_h_hz=np.float32(5e9),
+        )
+        echo = config.as_dict()
+        for name in ("epsilon", "j_over_h_hz", "t_decoherence_s", "t_evolution_s"):
+            assert type(echo[name]) is float
+        assert '"epsilon": 1.0,' in render(run_experiment(config), "csv")
 
 
 class TestRunExperiment:
@@ -477,8 +523,8 @@ class TestMemoryGuard:
     @pytest.mark.parametrize(
         "config, largest",
         [
-            # 32 probes * 100 steps * 2(D - 1) float64 normals
-            (dict(kind="walk-critical", qubits=(4,), steps=(100,), trials=1), 32 * 100 * 30 * 8),
+            # 64 probes * 100 steps * 2(D - 1) float64 normals
+            (dict(kind="walk-critical", qubits=(4,), steps=(100,), trials=1), 64 * 100 * 30 * 8),
             (dict(kind="walk-critical", qubits=(4,), steps=(100,), trials=1, exact_step=True),
              100 * 30 * 8),
             # the larger of (points x 16) complex amplitudes and the points^2 Gram matrix

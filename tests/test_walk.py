@@ -325,7 +325,7 @@ class TestLockstepScan:
 
     @pytest.mark.parametrize(
         "qubits, steps, exact_step",
-        [(2, 3, True), (5, 2, False)],  # one probe per batch; p = 62
+        [(2, 3, True), (5, 2, False)],  # exact steps walk one probe per batch; p = 62
     )
     @pytest.mark.parametrize("seed", [0, 1])
     def test_matches_probe_by_probe_scan_off_the_drawn_grid(
@@ -334,11 +334,23 @@ class TestLockstepScan:
         got = critical_step_for_trial(qubits, steps, seed, exact_step=exact_step)
         assert got == oracle_trial(qubits, steps, seed, exact_step=exact_step)
 
-    @pytest.mark.parametrize("draw", [4, 11, 40])
-    def test_vanished_draw_is_redrawn_as_in_the_sequential_scan(self, monkeypatch, draw):
+    @pytest.mark.parametrize(
+        "trial_seed, draw",
+        [
+            pytest.param(9, 4, id="4"),
+            pytest.param(9, 11, id="11"),
+            pytest.param(9, 40, id="40"),
+            # seed 242 needs 79 probes, and draw 199 is step 1 of probe
+            # 66, so the rewind falls in the second 64-probe block
+            pytest.param(242, 199, id="199-second-block"),
+        ],
+    )
+    def test_vanished_draw_is_redrawn_as_in_the_sequential_scan(
+        self, monkeypatch, trial_seed, draw
+    ):
         # One qubit has p = 2 active directions; zeroing both normals of
         # direction draw ``draw`` makes that step's norm exactly 0, so
-        # the scan must redraw there, rewinding any batch it falls in.
+        # the scan must redraw there, rewinding the batch it falls in.
         made = []
 
         def zeroed_rng(seed):
@@ -346,9 +358,9 @@ class TestLockstepScan:
             return made[-1]
 
         monkeypatch.setattr(np.random, "default_rng", zeroed_rng)
-        want = oracle_trial(1, 3, 9)
+        want = oracle_trial(1, 3, trial_seed)
         assert made[1]._pos > 2 * draw  # the oracle walked through the zero draw
-        got = critical_step_for_trial(1, 3, 9)
+        got = critical_step_for_trial(1, 3, trial_seed)
         assert made[3].rewinds == 1
         assert got == want
 
