@@ -19,8 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import numbers
-import operator
 import os
 import sys
 import time
@@ -31,6 +29,7 @@ from dataclasses import MISSING, asdict, dataclass, fields
 import numpy as np
 
 from . import __version__
+from ._checks import count, flag, real
 from .accessibility import DeviceParams, assess, max_qubits
 from .analysis import (
     _BATCH as _CONCENTRATION_BATCH,
@@ -41,7 +40,13 @@ from .analysis import (
     fit_saturating_power_law,
 )
 from .percolation import ExperimentFailureError, critical_threshold_sample
-from .walk import _PROBE_BLOCK, WALK_STREAM, critical_step_for_trial
+from .walk import (
+    _PROBE_BLOCK,
+    _SCAN_CHUNK,
+    EXACT_WALK_STREAM,
+    WALK_STREAM,
+    critical_step_for_trial,
+)
 
 __all__ = [
     "EXPERIMENT_KINDS",
@@ -116,9 +121,12 @@ def _largest_array_bytes(config: ExperimentConfig) -> int:
     dim = 2 ** min(max(config.qubits), 64)
     survey = _row_kind(config.kind, config.trials)
     if survey == "walk-critical":
-        # one lockstep batch's (probes, steps, 2(D - 1)) block of normals
-        probes = 1 if config.exact_step else _PROBE_BLOCK
-        return probes * max(config.steps) * 2 * (dim - 1) * 8
+        # one lockstep batch's (probes, steps, 2(D - 1)) block of normals;
+        # exact steps also stack _SCAN_CHUNK complex rows of D per probe
+        normals = _PROBE_BLOCK * max(config.steps) * 2 * (dim - 1) * 8
+        if config.exact_step:
+            return max(normals, _PROBE_BLOCK * _SCAN_CHUNK * dim * 16)
+        return normals
     if survey == "percolation-critical":
         # a cloud's (points, 2D) block of float64 normals (the same bytes as
         # its complex states) and its (points, points) complex Gram matrix
@@ -130,29 +138,9 @@ def _largest_array_bytes(config: ExperimentConfig) -> int:
     return 0
 
 
-def _count(value, field: str) -> int:
-    """``value`` as a plain int; bools, strings and fractions are refused."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise UsageError(f"{field}: expected an integer, got {value!r}")
-
-
-def _real(value, field: str) -> float:
-    """``value`` as a plain float; bools, strings and other non-reals are refused."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        try:
-            return float(value)
-        except OverflowError:
-            pass
-    raise UsageError(f"{field}: expected a number, got {value!r}")
-
-
 def _int_tuple(value, field: str) -> tuple[int, ...]:
     try:
-        items = tuple(_count(v, field) for v in value)
+        items = tuple(count(v, field, UsageError) for v in value)
     except TypeError as exc:
         raise UsageError(f"{field}: expected integers, got {value!r}") from exc
     if not items:
@@ -206,22 +194,20 @@ class ExperimentConfig:
         for name in ("trials", "samples", "workers"):
             v = getattr(self, name)
             if v is not None:
-                object.__setattr__(self, name, v := _count(v, name))
+                object.__setattr__(self, name, v := count(v, name, UsageError))
                 if v < 1:
                     raise UsageError(f"{name}: must be >= 1, got {v}")
         survey = _row_kind(self.kind, self.trials)
         if survey == "percolation-critical" and min(self.steps) < 2:
             raise UsageError(f"steps: percolation clouds need >= 2 points, got {list(self.steps)}")
         if self.epsilon is not None:
-            object.__setattr__(self, "epsilon", _real(self.epsilon, "epsilon"))
+            object.__setattr__(self, "epsilon", real(self.epsilon, "epsilon", UsageError))
             if not (math.isfinite(self.epsilon) and self.epsilon > 0):
                 raise UsageError(f"epsilon: must be a finite number > 0, got {self.epsilon}")
             if survey == "walk-critical" and self.epsilon >= math.pi / 2:
                 raise UsageError(f"epsilon: walk margins must be < pi/2, got {self.epsilon}")
-        if not isinstance(self.exact_step, (bool, np.bool_)):
-            raise UsageError(f"exact_step: expected true or false, got {self.exact_step!r}")
-        object.__setattr__(self, "exact_step", bool(self.exact_step))
-        object.__setattr__(self, "seed", _count(self.seed, "seed"))
+        object.__setattr__(self, "exact_step", flag(self.exact_step, "exact_step", UsageError))
+        object.__setattr__(self, "seed", count(self.seed, "seed", UsageError))
         if not 0 <= self.seed < 2**64:
             raise UsageError(f"seed: must fit in 64 bits, got {self.seed}")
         if self.out is not None and not isinstance(self.out, str):
@@ -229,7 +215,7 @@ class ExperimentConfig:
         if self.format not in ("csv", "json"):
             raise UsageError(f"format: expected csv or json, got {self.format!r}")
         for name in ("j_over_h_hz", "t_decoherence_s", "t_evolution_s"):
-            object.__setattr__(self, name, _real(getattr(self, name), name))
+            object.__setattr__(self, name, real(getattr(self, name), name, UsageError))
             if not 0 < getattr(self, name) < math.inf:
                 raise UsageError(f"{name}: must be finite and positive, got {getattr(self, name)}")
         if self.kind == "accessibility":
@@ -477,7 +463,7 @@ def run_experiment(config: ExperimentConfig) -> ResultSet:
         "config": config.as_dict(),
     }
     if survey == "walk-critical":
-        metadata["walk_stream"] = WALK_STREAM
+        metadata["walk_stream"] = EXACT_WALK_STREAM if config.exact_step else WALK_STREAM
     if config.kind == "fit":
         metadata["fit_weighting"] = "unweighted"
     return ResultSet(metadata=metadata, rows=tuple(rows), fits=tuple(fits))

@@ -164,14 +164,18 @@ def _amplitudes(theta: np.ndarray) -> np.ndarray:
 
 
 def _fs_distances(a: np.ndarray, amps: np.ndarray) -> np.ndarray:
-    """``fs_distance`` from the amplitudes ``a`` to each row of ``amps``."""
-    if a.size == 1:
+    """``fs_distance`` from the amplitudes ``a`` to each row of ``amps``.
+
+    ``a`` is one start for every row, or a (K, D) array of one start per row.
+    """
+    if a.shape[-1] == 1:
         # C^1 holds a single ray, so every distance is exactly 0.  The
         # product inner * a below would also run its loop along the batch
         # axis here, and numpy's complex multiply rounds a one-element
         # loop (scalar code) differently from a longer one (fused SIMD).
         return np.zeros(len(amps))
-    inner = np.array([np.vdot(a, row) for row in amps])
+    # vecdot runs the BLAS dot of np.vdot on each row, so its bits are vdot's
+    inner = np.vecdot(a, amps)
     ortho = amps - inner[:, None] * a
     return np.arctan2(np.sqrt(_sq_norms(ortho.real) + _sq_norms(ortho.imag)), np.abs(inner))
 

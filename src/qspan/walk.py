@@ -32,7 +32,9 @@ against the metric ``metric_tensor`` returns, through the covariance
 S S^T = g^-1 of its root S.  The scan draws the directions in the
 order a probe-by-probe scan draws them, so its strides equal those of
 a scan built from :func:`run_walk` bit for bit.  The draw defines walk stream
-:data:`WALK_STREAM`, recorded in the metadata of walk results.
+:data:`WALK_STREAM`, and with exact steps also the root find, stream
+:data:`EXACT_WALK_STREAM`; the one a result ran on is recorded in its
+metadata.
 """
 
 from __future__ import annotations
@@ -41,8 +43,10 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import minimize_scalar
+from scipy.optimize.elementwise import find_root
 
+from ._checks import count, flag, real
 from ._seeds import spawn
 from .hilbert import HALF_PI, StateVector, fs_distance, random_state
 from .hilbert import _amplitudes, _chart, _dots, _fs_distances, _sq_norms
@@ -71,17 +75,30 @@ BRACKET_REL_WIDTH = 1e-3
 #: changes whenever a (seed, config) pair would give other walk rows;
 #: result files that do not record it are stream 1 (the eigenframe draw).
 WALK_STREAM = 2
+#: Stream of exact-step walks, which also depends on their root find.
+#: Settling each step with ``find_root`` in place of ``brentq`` moved the
+#: step's last bits, and walks near a chart edge, where the chart step
+#: is large, magnify those: 2 of 1008 exact-step trials on qubits 1..3 x
+#: steps 3, 10, 30 changed their stride.  Default walks did not change
+#: and stay on stream 2.  Versions are not reused across the two.
+EXACT_WALK_STREAM = 3
 
-#: Probes the scan walks in lockstep per batch.  A lockstep step costs
-#: some thirty small numpy calls whatever its row count, and that call
-#: overhead outweighs the probes walked past a trial's success: on the
-#: acceptance grid, where trials need from 4 to about 270 probes (median
-#: about 80), fixed blocks of 64 ran about 2.2x faster than batches
-#: doubling 1, 2, 4, ... up to 32.  Blocks of 96 ran alike, 128 alike or
-#: slower and 256 slower, so 64, the smallest of the fast sizes, keeps
-#: the block of normals and the memory guard's estimate smallest.
+#: Probes the scan walks in lockstep per batch, with or without exact
+#: steps.  A lockstep step costs some thirty small numpy calls whatever
+#: its row count, and that call overhead outweighs the probes walked
+#: past a trial's success: on the acceptance grid, where trials need
+#: from 4 to about 270 probes (median about 80), fixed blocks of 64 ran
+#: about 2.2x faster than batches doubling 1, 2, 4, ... up to 32.  Blocks
+#: of 96 ran alike, 128 alike or slower and 256 slower, so 64, the
+#: smallest of the fast sizes, keeps the block of normals and the memory
+#: guard's estimate smallest.  An exact step's bracket scan and root
+#: find cost far more per call than per row, so exact scans gain the
+#: most: on 48 exact-step trials (qubits 1, 2 x steps 3, 10), blocks of
+#: 8, 16, 32 and 64 ran 1.4x, 1.9x, 3.8x and 6.2x faster than the scalar
+#: brentq scan they replaced, which walked one probe at a time; 96 and
+#: 128 ran within the noise of 64.
 _PROBE_BLOCK = 64
-#: Ray scales the exact-step bracket scan evaluates per call.
+#: Ray scales the exact-step bracket scan evaluates per row and call.
 _SCAN_CHUNK = 8
 
 
@@ -105,7 +122,10 @@ class WalkConfig:
     qubit count; an explicit margin must lie in (0, pi/2].  With
     ``exact_step`` the raw tangent displacement is rescaled by a root
     find so each realized step distance equals delta_s to relative 1e-6,
-    instead of only to first order.
+    instead of only to first order.  Counts must be integers, the
+    stride and margin real numbers and ``exact_step`` a bool (numpy
+    scalars included, stored as plain Python ones); anything else is a
+    ``ValueError``.
     """
 
     qubits: int
@@ -115,6 +135,12 @@ class WalkConfig:
     exact_step: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("qubits", "steps"):
+            object.__setattr__(self, name, count(getattr(self, name), name))
+        object.__setattr__(self, "delta_s", real(self.delta_s, "delta_s"))
+        if self.epsilon is not None:
+            object.__setattr__(self, "epsilon", real(self.epsilon, "epsilon"))
+        object.__setattr__(self, "exact_step", flag(self.exact_step, "exact_step"))
         if self.qubits < 1:
             raise ValueError(f"qubits must be >= 1, got {self.qubits}")
         if self.steps < 1:
@@ -182,50 +208,64 @@ def run_walk(
 
 
 def _exact_stride(
-    a: np.ndarray, theta: np.ndarray, d_theta: np.ndarray, delta_s: float
+    a: np.ndarray, theta: np.ndarray, d_theta: np.ndarray, strides: np.ndarray
 ) -> np.ndarray:
-    """Rescale the displacement so the realized distance equals delta_s.
+    """Rescale each row's displacement so its realized distance equals its stride.
 
-    Scans outward along the ray theta + c * d_theta, c = 0.25, 0.5, ...,
-    until the realized distance from the amplitudes ``a`` crosses the
-    target, then root-finds the crossing (relative accuracy much better
-    than 1e-6).  The scan evaluates ``_SCAN_CHUNK`` scales per call; each
-    row is computed as a lone row would be, so the bracket handed to the
-    root find does not depend on the chunk size.  Strides near pi/2 may
-    not be realizable along a given ray at all; in that case the step
-    falls back to the scale that maximizes the realized distance.
-    Returns the amplitudes of the new point.
+    Row k scans outward along the ray theta_k + c * d_theta_k, c = 0.25,
+    0.5, ..., until the realized distance from its own amplitudes a_k
+    crosses strides_k.  The scan evaluates ``_SCAN_CHUNK`` scales per row
+    and call, stacked over the rows that have not crossed yet.  One
+    ``find_root`` call then settles the crossing of every bracketed row
+    to within 1e-12 + 1e-14 c; a scale that lands on the stride exactly
+    is kept as is.  Strides near pi/2 may not be realizable along a given
+    ray at all; such a row falls back, on its own, to the scale that
+    maximizes its realized distance.  Every operation acts on each row
+    alone, so a row's step does not depend on the rows beside it.
+    Returns the (K, D) amplitudes of the new points.
     """
 
-    def moved(c) -> np.ndarray:
-        return _amplitudes(theta + np.reshape(c, (-1, 1)) * d_theta)
+    def moved(c, rows) -> np.ndarray:
+        return _amplitudes(theta[rows] + c[:, None] * d_theta[rows])
 
-    def realized(c: float) -> float:
-        return float(_fs_distances(a, moved(c))[0])
+    def realized(c, rows) -> np.ndarray:
+        return _fs_distances(a[rows], moved(c, rows))
+
+    def excess(c, rows) -> np.ndarray:
+        return realized(c, rows) - strides[rows]
 
     scales = np.arange(0.25, 64.25, 0.25)
-    lo = 0.0
+    lo, hi = np.zeros(strides.size), np.zeros(strides.size)
+    at_hi = np.full(strides.size, np.nan)
+    rows = np.arange(strides.size)
     for start in range(0, scales.size, _SCAN_CHUNK):
+        if not rows.size:
+            break
         chunk = scales[start:start + _SCAN_CHUNK]
-        at = _fs_distances(a, moved(chunk))
-        crossed = np.flatnonzero(at >= delta_s)
-        if crossed.size:
-            i = crossed[0]
-            hi = chunk[i]
-            lo = float(chunk[i - 1]) if i else lo
-            if at[i] == delta_s:
-                c = float(hi)
-            else:
-                c = float(
-                    brentq(lambda x: realized(x) - delta_s, lo, hi, xtol=1e-12, rtol=1e-14)
-                )
-            return moved(c)[0]
-        lo = float(chunk[-1])
-    best = minimize_scalar(
-        lambda x: -realized(x), bounds=(0.0, 64.0), method="bounded",
-        options={"xatol": 1e-9},
-    )
-    return moved(float(best.x))[0]
+        at = excess(np.tile(chunk, rows.size), np.repeat(rows, chunk.size))
+        at = at.reshape(rows.size, chunk.size)
+        crossed = at >= 0.0
+        hit = crossed.any(axis=1)
+        i = crossed.argmax(axis=1)[hit]
+        done = rows[hit]
+        hi[done], at_hi[done] = chunk[i], at[hit, i]
+        lo[done] = np.where(i > 0, chunk[i - 1], lo[done])
+        rows = rows[~hit]
+        lo[rows] = chunk[-1]
+    c = hi
+    root = np.flatnonzero(at_hi > 0.0)
+    if root.size:
+        c[root] = find_root(
+            excess, (lo[root], hi[root]), args=(root,),
+            tolerances=dict(xatol=1e-12, xrtol=1e-14),
+        ).x
+    for k in rows:
+        one = np.array([k])
+        c[k] = minimize_scalar(
+            lambda x: -realized(np.array([x]), one)[0], bounds=(0.0, 64.0),
+            method="bounded", options={"xatol": 1e-9},
+        ).x
+    return moved(c, slice(None))
 
 
 # --- walk kernel -------------------------------------------------------------
@@ -296,7 +336,8 @@ def _lockstep(a, strides, steps, exact_step, normals, redraw=False):
     ``normals(t)`` returns a (K, 2(D - 1)) block of standard normals for
     step t.  When the block vanishes on some walker's active directions
     it is drawn again with ``redraw``; otherwise the walks are abandoned
-    and None is returned.  With ``exact_step`` the batch holds one walk.
+    and None is returned.  With ``exact_step`` every step of the batch
+    goes through one :func:`_exact_stride` call.
     """
     amps = np.broadcast_to(a, (strides.size, a.size))
     for t in range(steps):
@@ -307,7 +348,7 @@ def _lockstep(a, strides, steps, exact_step, normals, redraw=False):
         if d_theta is None:
             return None
         if exact_step:
-            amps = _exact_stride(amps[0], theta[0], d_theta[0], strides[0])[None]
+            amps = _exact_stride(amps, theta, d_theta, strides)
         else:
             amps = _amplitudes(theta + d_theta)
     return amps
@@ -370,11 +411,10 @@ def critical_step_for_trial(
     pi/2 and flagged, to be excluded from averages by the caller.
 
     Consecutive probes run in lockstep blocks of 64 walks
-    (``_PROBE_BLOCK``) from the first probe on; with ``exact_step`` one
-    probe at a time, because its per-step root find does not batch and
-    every probe past the success would cost root finds of its own.  A
-    block that contains a success ends the scan at its first success in
-    grid order, and the probes after it are discarded.  The block draws
+    (``_PROBE_BLOCK``) from the first probe on, with or without
+    ``exact_step``; an exact step brackets and root-finds the whole block
+    at once.  A block that contains a success ends the scan at its first
+    success in grid order, and the probes after it are discarded.  The block draws
     its directions in probe order, so the result equals, bit for bit,
     that of a scan that walks each probe with :func:`run_walk` and stops
     at the first success.
@@ -387,7 +427,7 @@ def critical_step_for_trial(
     config = WalkConfig(
         qubits=qubits, steps=steps, delta_s=HALF_PI, epsilon=epsilon, exact_step=exact_step
     )
-    floor = (HALF_PI - config.epsilon) / steps
+    floor = (HALF_PI - config.epsilon) / config.steps
     replace(config, delta_s=floor)  # the floor stride must be a valid stride
     grid = BRACKET_REL_WIDTH * HALF_PI
     strides = []
@@ -398,12 +438,11 @@ def critical_step_for_trial(
     strides = np.array(strides + [HALF_PI])
 
     init_ss, dir_ss = spawn(trial_seed, 2)
-    a = random_state(2**qubits, np.random.default_rng(init_ss)).amplitudes
+    a = random_state(config.dim, np.random.default_rng(init_ss)).amplitudes
     rng = np.random.default_rng(dir_ss)
-    size = 1 if exact_step else _PROBE_BLOCK
-    for done in range(0, strides.size, size):
-        batch = strides[done:done + size]
-        final = _probe_batch(a, batch, steps, exact_step, rng)
+    for done in range(0, strides.size, _PROBE_BLOCK):
+        batch = strides[done:done + _PROBE_BLOCK]
+        final = _probe_batch(a, batch, config.steps, config.exact_step, rng)
         reached = np.flatnonzero(HALF_PI - final <= config.epsilon)
         if reached.size:
             return TrialCritical(value=float(batch[reached[0]]), censored=False)
@@ -454,7 +493,7 @@ def critical_step_length(
     are spawned from it, so any scheduling of the trials (including
     none) yields identical results, trial by trial.
     """
-    if trials < 1:
+    if count(trials, "trials") < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     outcomes = [
         critical_step_for_trial(qubits, steps, trial_ss, epsilon=epsilon, exact_step=exact_step)

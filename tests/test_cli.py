@@ -231,6 +231,7 @@ class TestRunExperiment:
             (dict(kind="fit", qubits=(2,), steps=(3, 5), samples=2), None),
             (dict(kind="percolation-critical", qubits=(2,), steps=(3,), samples=2), None),
             (dict(kind="accessibility", qubits=(100,)), None),
+            (WALK | dict(exact_step=True), 3),
         ],
     )
     def test_walk_rows_record_their_stream_version(self, config, stream):
@@ -523,10 +524,11 @@ class TestMemoryGuard:
     @pytest.mark.parametrize(
         "config, largest",
         [
-            # 64 probes * 100 steps * 2(D - 1) float64 normals
+            # 64 probes * 100 steps * 2(D - 1) float64 normals, with or
+            # without exact steps
             (dict(kind="walk-critical", qubits=(4,), steps=(100,), trials=1), 64 * 100 * 30 * 8),
             (dict(kind="walk-critical", qubits=(4,), steps=(100,), trials=1, exact_step=True),
-             100 * 30 * 8),
+             64 * 100 * 30 * 8),
             # the larger of (points x 16) complex amplitudes and the points^2 Gram matrix
             (dict(kind="percolation-critical", qubits=(4,), steps=(8,), samples=1), 8 * 16 * 16),
             (dict(kind="percolation-critical", qubits=(4,), steps=(200,), samples=1),
@@ -534,6 +536,10 @@ class TestMemoryGuard:
             # min(8192, samples) pairs of 2D float64 normals
             (dict(kind="concentration", qubits=(4,), samples=1000, epsilon=0.1),
              1000 * 2 * 32 * 8),
+            # at one step the exact-step bracket scan's 64 probes * 8 scales
+            # complex rows of D outweigh the 64 * 1 * 2(D - 1) normals
+            (dict(kind="walk-critical", qubits=(4,), steps=(1,), trials=1, exact_step=True),
+             64 * 8 * 16 * 16),
         ],
     )
     def test_refuses_exactly_above_physical_memory(self, monkeypatch, config, largest):

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qspan.walk
 from qspan.hilbert import StateVector, fs_distance, metric_tensor, random_state, to_coords
 from qspan.walk import (
     _chart,
+    _exact_stride,
     _tangent,
     BRACKET_REL_WIDTH,
     CriticalStepResult,
@@ -69,6 +71,60 @@ class TestWalkConfig:
     def test_stride_range(self, delta_s):
         with pytest.raises(ValueError):
             WalkConfig(qubits=1, steps=5, delta_s=delta_s)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("qubits", 1.5), ("qubits", True), ("steps", "5"), ("steps", 5.0),
+         ("delta_s", "0.1"), ("delta_s", False), ("epsilon", "0.2"), ("epsilon", 10**400),
+         ("exact_step", "no"), ("exact_step", 1), ("exact_step", None)],
+    )
+    def test_argument_types(self, field, value):
+        kwargs = dict(qubits=1, steps=5, delta_s=0.1) | {field: value}
+        with pytest.raises(ValueError, match=field):
+            WalkConfig(**kwargs)
+
+    def test_numpy_scalars_stored_as_plain_ones(self):
+        cfg = WalkConfig(
+            qubits=np.int64(2), steps=np.uint8(5), delta_s=np.float32(0.25),
+            epsilon=np.float64(0.5), exact_step=np.True_,
+        )
+        assert cfg == WalkConfig(qubits=2, steps=5, delta_s=0.25, epsilon=0.5, exact_step=True)
+        for name, kind in (("qubits", int), ("steps", int), ("delta_s", float),
+                           ("epsilon", float), ("exact_step", bool)):
+            assert type(getattr(cfg, name)) is kind
+
+
+class TestScanArgumentTypes:
+    """critical_step_for_trial refuses bad types through WalkConfig, before any draw."""
+
+    @pytest.fixture(autouse=True)
+    def no_draws(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the scan drew before checking its arguments")
+
+        monkeypatch.setattr("qspan.walk.random_state", refuse)
+        monkeypatch.setattr("qspan.walk.spawn", refuse)
+
+    def test_exact_step_string_is_refused(self):
+        with pytest.raises(ValueError, match="exact_step"):
+            critical_step_for_trial(1, 3, 9, exact_step="no")
+
+    def test_fractional_qubits_are_refused(self):
+        with pytest.raises(ValueError, match="qubits"):
+            critical_step_for_trial(1.5, 3, 9)
+
+    def test_fractional_steps_are_refused(self):
+        with pytest.raises(ValueError, match="steps"):
+            critical_step_for_trial(1, 2.5, 9)
+
+    def test_fractional_trials_are_refused(self):
+        with pytest.raises(ValueError, match="trials"):
+            critical_step_length(1, 3, 2.5, 9)
+
+
+def test_scan_accepts_numpy_scalars():
+    want = critical_step_for_trial(1, 3, 9, exact_step=True)
+    assert critical_step_for_trial(np.int64(1), np.int32(3), 9, exact_step=np.True_) == want
 
 
 class TestRunWalk:
@@ -197,6 +253,48 @@ class TestTangentSampler:
             assert rec.spans[1] == pytest.approx(0.3, rel=1e-6)
 
 
+class TestExactStride:
+    """One stacked exact step against each of its rows stepped alone."""
+
+    @pytest.mark.parametrize("qubits", [1, 2, 3, 5])
+    def test_stacked_step_equals_lone_rows(self, monkeypatch, qubits):
+        dim = 2**qubits
+        rng = np.random.default_rng(qubits)
+        starts = [random_state(dim, rng).amplitudes for _ in range(12)]
+        if dim == 4:
+            starts += [StateVector.from_array(v).amplitudes for v in EDGE_STATES.values()]
+        a = np.array(starts)
+        k = len(a)
+        # pi/2 is not reachable along a generic chart ray, so those rows
+        # take the minimize_scalar fallback
+        strides = np.resize([0.01, 0.2, 0.7, 1.3, HALF_PI], k)
+        theta, m, tail = _chart(a)
+        d_theta = _tangent(m, tail, strides, rng.standard_normal((k, 2 * (dim - 1))))
+        fallbacks = []
+        minimize_scalar = qspan.walk.minimize_scalar
+
+        def counted(*args, **kwargs):
+            fallbacks.append(kwargs["bounds"])
+            return minimize_scalar(*args, **kwargs)
+
+        monkeypatch.setattr(qspan.walk, "minimize_scalar", counted)
+        stacked = _exact_stride(a, theta, d_theta, strides)
+        stacked_fallbacks = len(fallbacks)
+        assert 0 < stacked_fallbacks < k
+        lone = np.concatenate([
+            _exact_stride(a[i:i + 1], theta[i:i + 1], d_theta[i:i + 1], strides[i:i + 1])
+            for i in range(k)
+        ])
+        assert len(fallbacks) == 2 * stacked_fallbacks
+        assert np.array_equal(stacked.view(float), lone.view(float))
+        realized = np.array([
+            fs_distance(StateVector(x), StateVector(y)) for x, y in zip(a, stacked)
+        ])
+        reached = strides < HALF_PI
+        np.testing.assert_allclose(realized[reached], strides[reached], rtol=1e-11)
+        assert np.all(realized[~reached] <= HALF_PI)
+
+
 class TestCriticalStep:
     def test_single_exact_step_lands_in_terminal_band(self):
         # With one stride available the walk succeeds iff the stride
@@ -323,9 +421,21 @@ class TestLockstepScan:
     def test_matches_probe_by_probe_scan(self, qubits, steps, seed):
         assert critical_step_for_trial(qubits, steps, seed) == oracle_trial(qubits, steps, seed)
 
+    # the oracle's exact steps root-find one walker per call, about 2 ms
+    # a step, so exact examples are fewer and shorter
+    @settings(max_examples=8, deadline=None)
+    @given(
+        qubits=st.integers(1, 3),
+        steps=st.integers(1, 6),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_matches_probe_by_probe_scan_with_exact_steps(self, qubits, steps, seed):
+        got = critical_step_for_trial(qubits, steps, seed, exact_step=True)
+        assert got == oracle_trial(qubits, steps, seed, exact_step=True)
+
     @pytest.mark.parametrize(
         "qubits, steps, exact_step",
-        [(2, 3, True), (5, 2, False)],  # exact steps walk one probe per batch; p = 62
+        [(2, 3, True), (5, 2, False)],  # p = 62 normals per step
     )
     @pytest.mark.parametrize("seed", [0, 1])
     def test_matches_probe_by_probe_scan_off_the_drawn_grid(
@@ -335,18 +445,21 @@ class TestLockstepScan:
         assert got == oracle_trial(qubits, steps, seed, exact_step=exact_step)
 
     @pytest.mark.parametrize(
-        "trial_seed, draw",
+        "trial_seed, draw, exact_step",
         [
-            pytest.param(9, 4, id="4"),
-            pytest.param(9, 11, id="11"),
-            pytest.param(9, 40, id="40"),
+            pytest.param(9, 4, False, id="4"),
+            pytest.param(9, 11, False, id="11"),
+            pytest.param(9, 40, False, id="40"),
             # seed 242 needs 79 probes, and draw 199 is step 1 of probe
             # 66, so the rewind falls in the second 64-probe block
-            pytest.param(242, 199, id="199-second-block"),
+            pytest.param(242, 199, False, id="199-second-block"),
+            # with exact steps seed 9 needs 16 probes, and draw 40 is
+            # step 1 of probe 13, inside the first 64-probe block
+            pytest.param(9, 40, True, id="40-exact"),
         ],
     )
     def test_vanished_draw_is_redrawn_as_in_the_sequential_scan(
-        self, monkeypatch, trial_seed, draw
+        self, monkeypatch, trial_seed, draw, exact_step
     ):
         # One qubit has p = 2 active directions; zeroing both normals of
         # direction draw ``draw`` makes that step's norm exactly 0, so
@@ -358,9 +471,9 @@ class TestLockstepScan:
             return made[-1]
 
         monkeypatch.setattr(np.random, "default_rng", zeroed_rng)
-        want = oracle_trial(1, 3, trial_seed)
+        want = oracle_trial(1, 3, trial_seed, exact_step)
         assert made[1]._pos > 2 * draw  # the oracle walked through the zero draw
-        got = critical_step_for_trial(1, 3, trial_seed)
+        got = critical_step_for_trial(1, 3, trial_seed, exact_step=exact_step)
         assert made[3].rewinds == 1
         assert got == want
 
