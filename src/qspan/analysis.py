@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import optimize
 
+from ._checks import count
 from ._seeds import spawn
 from .hilbert import HALF_PI, _haar_rows
 
@@ -262,8 +263,11 @@ def empirical_concentration(
     Draws ``samples`` independent pairs (in batches, each batch from its
     own spawned substream, so the result does not depend on batch size
     scheduling), counts how often | |<psi|psi'>|^2 - 1/dim | >= epsilon,
-    and reports the rate next to :func:`concentration_bound`.
+    and reports the rate next to :func:`concentration_bound`.  ``dim``
+    and ``samples`` must be integers (numpy ones included); anything
+    else is a ``ValueError``.
     """
+    dim, samples = count(dim, "dim"), count(samples, "samples")
     if samples < 1000:
         raise ValueError(f"need at least 1000 samples, got {samples}")
     bound = concentration_bound(dim, epsilon)
@@ -274,14 +278,14 @@ def empirical_concentration(
     mean_acc = 0.0
     sq_acc = 0.0
     for b, ss in enumerate(streams):
-        count = min(_BATCH, samples - b * _BATCH)
+        n = min(_BATCH, samples - b * _BATCH)
         rng = np.random.default_rng(ss)
-        z = _haar_rows(dim, 2 * count, rng).reshape(count, 2, dim)
+        z = _haar_rows(dim, 2 * n, rng).reshape(n, 2, dim)
         overlap_sq = np.abs(np.einsum("ij,ij->i", z[:, 0].conj(), z[:, 1])) ** 2
         hits += int(np.count_nonzero(np.abs(overlap_sq - 1.0 / dim) >= epsilon))
         mean_acc += float(overlap_sq.sum())
         sq_acc += float((overlap_sq**2).sum())
-        total += count
+        total += n
     mean = mean_acc / total
     var = max(sq_acc / total - mean**2, 0.0)
     return ConcentrationReport(

@@ -43,7 +43,6 @@ from .percolation import ExperimentFailureError, critical_threshold_sample
 from .walk import (
     _PROBE_BLOCK,
     _SCAN_CHUNK,
-    EXACT_WALK_STREAM,
     WALK_STREAM,
     critical_step_for_trial,
 )
@@ -258,7 +257,9 @@ class ResultSet:
 
     ``metadata`` carries the experiment kind, artifact version, master
     seed, wall-clock seconds, and a full echo of the configuration; walk
-    rows also record the walk's ``walk_stream`` version.
+    rows also record the ``walk_stream`` version their walks ran on, one
+    number for default and exact-step walks (``config.exact_step`` tells
+    the two apart).
     ``rows`` are plain dicts with an experiment-specific fixed key
     order; ``fits`` are summary dicts, empty unless a fit was requested.
     """
@@ -463,7 +464,7 @@ def run_experiment(config: ExperimentConfig) -> ResultSet:
         "config": config.as_dict(),
     }
     if survey == "walk-critical":
-        metadata["walk_stream"] = EXACT_WALK_STREAM if config.exact_step else WALK_STREAM
+        metadata["walk_stream"] = WALK_STREAM
     if config.kind == "fit":
         metadata["fit_weighting"] = "unweighted"
     return ResultSet(metadata=metadata, rows=tuple(rows), fits=tuple(fits))

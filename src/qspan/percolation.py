@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ._checks import count
 from ._seeds import as_seedseq, spawn
 from .hilbert import HALF_PI, StateVector, _haar_rows
 
@@ -137,7 +138,10 @@ def random_cloud(dim: int, n_points: int, rng: np.random.Generator) -> list[Stat
     One block draw through the sampler behind
     :func:`qspan.hilbert.random_state`: the states equal, bit for bit,
     those of ``n_points`` sequential ``random_state`` calls on ``rng``.
+    Counts must be integers (numpy ones included); anything else is a
+    ``ValueError``.
     """
+    dim, n_points = count(dim, "dim"), count(n_points, "n_points")
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     return [StateVector(row) for row in _haar_rows(dim, n_points, rng)]
@@ -264,7 +268,12 @@ def _threshold(d: np.ndarray) -> Optional[float]:
 
 
 def critical_threshold_sample(qubits: int, n_points: int, sample_seed) -> Optional[float]:
-    """Critical threshold of one freshly drawn cloud (None if it has none)."""
+    """Critical threshold of one freshly drawn cloud (None if it has none).
+
+    Counts must be integers (numpy ones included); anything else is a
+    ``ValueError``.
+    """
+    qubits, n_points = count(qubits, "qubits"), count(n_points, "n_points")
     if qubits < 1:
         raise ValueError(f"qubits must be >= 1, got {qubits}")
     _check_points(n_points)
@@ -305,9 +314,10 @@ def critical_threshold_experiment(
     Per-sample substreams are spawned from ``seed`` so results do not
     depend on how the samples are scheduled.  Raises
     :class:`ExperimentFailureError` when every sample comes back without
-    a threshold.
+    a threshold.  Counts are checked as by
+    :func:`critical_threshold_sample`.
     """
-    if samples < 1:
+    if count(samples, "samples") < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     raw = [
         critical_threshold_sample(qubits, n_points, ss)

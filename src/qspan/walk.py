@@ -31,10 +31,11 @@ eigendecomposition (see :func:`_tangent`); its tests check the draw
 against the metric ``metric_tensor`` returns, through the covariance
 S S^T = g^-1 of its root S.  The scan draws the directions in the
 order a probe-by-probe scan draws them, so its strides equal those of
-a scan built from :func:`run_walk` bit for bit.  The draw defines walk stream
-:data:`WALK_STREAM`, and with exact steps also the root find, stream
-:data:`EXACT_WALK_STREAM`; the one a result ran on is recorded in its
-metadata.
+a scan built from :func:`run_walk` bit for bit.  A draw that vanishes
+on every active direction of a walker (probability ~0) is a zero step
+for that walker.  The draw, the zero step and, with exact steps, the
+root find define walk stream :data:`WALK_STREAM`, which a result's
+metadata records.
 """
 
 from __future__ import annotations
@@ -71,17 +72,12 @@ __all__ = [
 #: critical stride is bracketed.
 BRACKET_REL_WIDTH = 1e-3
 
-#: Version of the random stream walks draw their directions from.  It
-#: changes whenever a (seed, config) pair would give other walk rows;
-#: result files that do not record it are stream 1 (the eigenframe draw).
-WALK_STREAM = 2
-#: Stream of exact-step walks, which also depends on their root find.
-#: Settling each step with ``find_root`` in place of ``brentq`` moved the
-#: step's last bits, and walks near a chart edge, where the chart step
-#: is large, magnify those: 2 of 1008 exact-step trials on qubits 1..3 x
-#: steps 3, 10, 30 changed their stride.  Default walks did not change
-#: and stay on stream 2.  Versions are not reused across the two.
-EXACT_WALK_STREAM = 3
+#: Version of the random stream walks draw their directions from, one
+#: number for default and exact-step walks: a change that would give
+#: other rows for some (seed, config) pair in either mode bumps it.
+#: Result files that do not record it are stream 1; the README lists
+#: what each stream changed.
+WALK_STREAM = 4
 
 #: Probes the scan walks in lockstep per batch, with or without exact
 #: steps.  A lockstep step costs some thirty small numpy calls whatever
@@ -107,8 +103,11 @@ def paper_epsilon(qubits: int) -> float:
 
     Two independent Haar states of dimension D have root-mean-square
     overlap 1/sqrt(D), i.e. typical separation arccos(1/sqrt(D)); the
-    margin is the gap between that and the maximum pi/2.
+    margin is the gap between that and the maximum pi/2.  ``qubits``
+    must be an integer (a numpy one included); anything else is a
+    ``ValueError``.
     """
+    qubits = count(qubits, "qubits")
     if qubits < 1:
         raise ValueError(f"qubits must be >= 1, got {qubits}")
     return float(HALF_PI - np.arccos(2.0 ** (-qubits / 2.0)))
@@ -184,8 +183,8 @@ def run_walk(
     and renormalize.  spans[0] is 0 and spans[t] the Fubini-Study
     distance of the walker after t steps back to the start.  The steps
     run on the probe scan's kernel, one walker at a time, drawing 2(D-1)
-    normals per step from ``rng``, and drawing again should they vanish
-    on every active direction.  Given the same initial state and
+    normals per step from ``rng``; should they vanish on every active
+    direction the step is a zero step.  Given the same initial state and
     generator state the record is reproduced bit for bit.
     """
     if initial.dim != config.dim:
@@ -198,10 +197,7 @@ def run_walk(
     spans = np.zeros(config.steps + 1)
     amps = a[None]
     for t in range(1, config.steps + 1):
-        amps = _lockstep(
-            amps[0], stride, 1, config.exact_step,
-            lambda _: rng.standard_normal((1, p)), redraw=True,
-        )
+        amps = _lockstep(amps[0], stride, rng.standard_normal((1, 1, p)), config.exact_step)
         spans[t] = _fs_distances(a, amps)[0]
     reached = (HALF_PI - spans[-1]) <= config.epsilon
     return WalkRecord(spans=spans, reached=bool(reached))
@@ -298,9 +294,7 @@ def _tangent(m, tail, strides, xi):
     no share of xi.  Where m_D = 0, A is singular along the global
     phase; u_ph then comes from the projection (I - sqrt(v) sqrt(v)^T)
     xi_ph, for which d_ph = stride * u_ph / sqrt(v) has the same metric
-    length.
-
-    Returns None when some row of the masked draw vanishes.
+    length.  A row whose masked draw vanishes gets a zero displacement.
     """
     n = m.shape[1] - 1
     root_p, root_v, last = tail[:, :n], m[:, :n], m[:, n:]
@@ -309,10 +303,7 @@ def _tangent(m, tail, strides, xi):
     if edge.any():
         ph = xi[:, n:]
         xi[:, n:] = np.where(edge, ph - root_v * _dots(root_v, ph)[:, None], ph)
-    u = _unit_rows(xi)
-    if u is None:
-        return None
-    d = strides[:, None] * u
+    d = strides[:, None] * _unit_rows(xi)
     d_ph = d[:, n:]
     safe_last = np.where(edge, 1.0, last)
     shift = np.where(edge, 0.0, _dots(root_v, d_ph)[:, None] / (safe_last * (1.0 + safe_last)))
@@ -325,28 +316,25 @@ def _tangent(m, tail, strides, xi):
     )
 
 
-def _unit_rows(u: np.ndarray) -> np.ndarray | None:
+def _unit_rows(u: np.ndarray) -> np.ndarray:
+    """Rows of ``u`` scaled to unit length; an all-zero row stays zero."""
     norm = np.sqrt(_sq_norms(u))
-    return u / norm[:, None] if norm.all() else None
+    if not norm.all():
+        norm[norm == 0.0] = 1.0
+    return u / norm[:, None]
 
 
-def _lockstep(a, strides, steps, exact_step, normals, redraw=False):
-    """Amplitudes of walks from ``a``, one per stride, after ``steps`` steps.
+def _lockstep(a, strides, normals, exact_step):
+    """Amplitudes of walks from ``a``, one per stride, after their steps.
 
-    ``normals(t)`` returns a (K, 2(D - 1)) block of standard normals for
-    step t.  When the block vanishes on some walker's active directions
-    it is drawn again with ``redraw``; otherwise the walks are abandoned
-    and None is returned.  With ``exact_step`` every step of the batch
-    goes through one :func:`_exact_stride` call.
+    ``normals`` is a (K, steps, 2(D - 1)) block of standard normals, row
+    k's step t drawn from ``normals[k, t]``.  With ``exact_step`` every
+    step of the batch goes through one :func:`_exact_stride` call.
     """
     amps = np.broadcast_to(a, (strides.size, a.size))
-    for t in range(steps):
+    for t in range(normals.shape[1]):
         theta, m, tail = _chart(amps)
-        d_theta = _tangent(m, tail, strides, normals(t))
-        while d_theta is None and redraw:
-            d_theta = _tangent(m, tail, strides, normals(t))
-        if d_theta is None:
-            return None
+        d_theta = _tangent(m, tail, strides, normals[:, t])
         if exact_step:
             amps = _exact_stride(amps, theta, d_theta, strides)
         else:
@@ -358,26 +346,11 @@ def _probe_batch(a, strides, steps, exact_step, rng):
     """Final spans of the probes at ``strides``, in grid order.
 
     The batch draws all its normals at once as a (K, steps, p) block,
-    the same variates K * steps sequential draws of p give.  A draw that
-    vanishes on every active direction (probability ~0) is redrawn by
-    the sequential scan, which shifts the rest of the stream; the batch
-    then rewinds the generator and replays its probes one at a time,
-    drawing step by step.
+    the same variates K * steps sequential draws of p give, so each probe
+    walks the steps :func:`run_walk` would walk from the same generator.
     """
-    p = 2 * (a.size - 1)
-    saved = rng.bit_generator.state
-    normals = rng.standard_normal((strides.size, steps, p))
-    final = _lockstep(a, strides, steps, exact_step, lambda t: normals[:, t])
-    if final is None:
-        rng.bit_generator.state = saved
-        final = np.concatenate([
-            _lockstep(
-                a, strides[i:i + 1], steps, exact_step,
-                lambda _: rng.standard_normal((1, p)), redraw=True,
-            )
-            for i in range(strides.size)
-        ])
-    return _fs_distances(a, final)
+    normals = rng.standard_normal((strides.size, steps, 2 * (a.size - 1)))
+    return _fs_distances(a, _lockstep(a, strides, normals, exact_step))
 
 
 @dataclass(frozen=True)

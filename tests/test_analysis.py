@@ -261,6 +261,19 @@ class TestEmpiricalConcentration:
         with pytest.raises(ValueError):
             empirical_concentration(16, 0.1, 999, 0)
 
+    @pytest.mark.parametrize(
+        "dim, samples, field",
+        [(4.0, 1000, "dim"), (True, 1000, "dim"), (4, 1000.5, "samples"), (4, "1000", "samples")],
+    )
+    def test_non_integer_counts_rejected(self, dim, samples, field):
+        with pytest.raises(ValueError, match=field):
+            empirical_concentration(dim, 0.1, samples, 0)
+
+    def test_numpy_integer_counts_accepted(self):
+        got = empirical_concentration(np.int64(4), 0.1, np.int32(1000), 0)
+        assert got == empirical_concentration(4, 0.1, 1000, 0)
+        assert type(got.dim) is int and type(got.samples) is int
+
     def test_quadrupling_samples_halves_standard_error(self):
         spread = {}
         for n in (2000, 8000):

@@ -226,12 +226,12 @@ class TestRunExperiment:
     @pytest.mark.parametrize(
         "config, stream",
         [
-            (WALK, 2),
-            (dict(kind="fit", qubits=(1,), steps=(3, 5), trials=2), 2),
+            (WALK, 4),
+            (dict(kind="fit", qubits=(1,), steps=(3, 5), trials=2), 4),
             (dict(kind="fit", qubits=(2,), steps=(3, 5), samples=2), None),
             (dict(kind="percolation-critical", qubits=(2,), steps=(3,), samples=2), None),
             (dict(kind="accessibility", qubits=(100,)), None),
-            (WALK | dict(exact_step=True), 3),
+            (WALK | dict(exact_step=True), 4),
         ],
     )
     def test_walk_rows_record_their_stream_version(self, config, stream):

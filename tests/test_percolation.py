@@ -252,6 +252,34 @@ class TestSamplerOracle:
             critical_threshold_sample(3, 0, 0)
 
 
+@pytest.mark.parametrize(
+    "sampler, args, field",
+    [
+        (critical_threshold_sample, (1.5, 5, 0), "qubits"),
+        (critical_threshold_sample, (True, 5, 0), "qubits"),
+        (critical_threshold_sample, (1, 5.5, 0), "n_points"),
+        (random_cloud, (2.0, 3, np.random.default_rng(0)), "dim"),
+        (random_cloud, (2, "3", np.random.default_rng(0)), "n_points"),
+        (critical_threshold_experiment, (1, 5, 2.5, 0), "samples"),
+        (critical_threshold_experiment, (1, 5, True, 0), "samples"),
+    ],
+)
+def test_sampling_entry_points_refuse_non_integer_counts(sampler, args, field):
+    with pytest.raises(ValueError, match=field):
+        sampler(*args)
+
+
+def test_sampling_entry_points_accept_numpy_integers():
+    assert critical_threshold_sample(np.int64(2), np.int32(10), 99) == \
+        critical_threshold_sample(2, 10, 99)
+    a = critical_threshold_experiment(np.int8(2), np.int64(10), np.uint16(4), 7)
+    b = critical_threshold_experiment(2, 10, 4, 7)
+    assert np.array_equal(a.values, b.values, equal_nan=True)
+    x = random_cloud(np.int64(4), np.int32(3), np.random.default_rng(3))
+    y = random_cloud(4, 3, np.random.default_rng(3))
+    assert all(np.array_equal(u.amplitudes, v.amplitudes) for u, v in zip(x, y))
+
+
 class TestExperiment:
     def test_sample_deterministic(self):
         a = critical_threshold_sample(2, 10, 99)

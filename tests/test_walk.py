@@ -39,10 +39,17 @@ def random_hermitian(dim, rng):
     return (a + a.conj().T) / 2
 
 
+@pytest.mark.parametrize("qubits", [1.5, True, "2", None])
+def test_paper_epsilon_refuses_non_integer_qubits(qubits):
+    with pytest.raises(ValueError, match="qubits"):
+        paper_epsilon(qubits)
+
+
 def test_paper_epsilon_closed_forms():
     # arccos(1/sqrt(2)) = pi/4 and arccos(1/2) = pi/3 exactly
     assert paper_epsilon(1) == pytest.approx(np.pi / 4, abs=1e-15)
     assert paper_epsilon(2) == pytest.approx(np.pi / 6, abs=1e-15)
+    assert paper_epsilon(np.int64(2)) == paper_epsilon(2)
     with pytest.raises(ValueError):
         paper_epsilon(0)
 
@@ -241,6 +248,34 @@ class TestTangentSampler:
         se = np.sqrt((np.outer(np.diag(want), np.diag(want)) + want**2) / k)
         assert np.all(np.abs(cov - want) <= 5 * se)
 
+    @pytest.mark.parametrize("name", ["haar"] + sorted(EDGE_STATES))
+    def test_vanished_row_is_a_zero_step(self, name):
+        if name in EDGE_STATES:
+            a = StateVector.from_array(EDGE_STATES[name]).amplitudes
+        else:
+            a = random_state(4, np.random.default_rng(11)).amplitudes
+        k, zero = 5, 2
+        _, m, tail = _chart(np.broadcast_to(a, (k, a.size)))
+        xi = np.random.default_rng(12).standard_normal((k, 6))
+        xi[zero] = 0.0
+        strides = np.linspace(0.1, 0.5, k)
+        d = _tangent(m, tail, strides, xi)
+        assert np.all(d[zero] == 0.0)
+        rest = np.arange(k) != zero
+        alone = _tangent(m[rest], tail[rest], strides[rest], xi[rest])
+        assert np.array_equal(d[rest].view(np.int64), alone.view(np.int64))
+
+    @pytest.mark.parametrize("exact_step", [False, True])
+    def test_walk_takes_a_vanished_draw_as_a_zero_step(self, exact_step):
+        # zero all 6 normals of step 1; the basis state's chart angles
+        # are all 0, so their amplitudes give the basis state back exactly
+        initial = StateVector.from_array(EDGE_STATES["basis"])
+        cfg = WalkConfig(qubits=2, steps=6, delta_s=0.3, exact_step=exact_step)
+        rec = run_walk(initial, cfg, ZeroedNormals(10, set(range(6))))
+        assert np.all(np.isfinite(rec.spans))
+        assert rec.spans[1] == rec.spans[0] == 0.0
+        assert rec.spans[2] > 0.0
+
     @pytest.mark.parametrize("name", sorted(EDGE_STATES))
     @pytest.mark.parametrize("exact_step", [False, True])
     def test_walks_from_chart_edges(self, name, exact_step):
@@ -381,25 +416,14 @@ def oracle_trial(qubits, steps, seed, exact_step=False):
 class ZeroedNormals:
     """A default_rng stand-in whose normals at chosen stream positions are 0.0.
 
-    Its ``bit_generator.state`` covers the stream position, so a rewind
-    replays the zeros too.
+    It has no ``bit_generator``, so a walk that read or set generator
+    state would fail.
     """
 
     def __init__(self, seed, zeros):
         self._gen = np.random.Generator(np.random.PCG64(seed))
         self._zeros = zeros
         self._pos = 0
-        self.bit_generator = self
-        self.rewinds = 0
-
-    @property
-    def state(self):
-        return self._gen.bit_generator.state, self._pos
-
-    @state.setter
-    def state(self, value):
-        self.rewinds += 1
-        self._gen.bit_generator.state, self._pos = value
 
     def standard_normal(self, size):
         x = self._gen.standard_normal(size)
@@ -451,19 +475,19 @@ class TestLockstepScan:
             pytest.param(9, 11, False, id="11"),
             pytest.param(9, 40, False, id="40"),
             # seed 242 needs 79 probes, and draw 199 is step 1 of probe
-            # 66, so the rewind falls in the second 64-probe block
+            # 66, so the zero step falls in the second 64-probe block
             pytest.param(242, 199, False, id="199-second-block"),
             # with exact steps seed 9 needs 16 probes, and draw 40 is
             # step 1 of probe 13, inside the first 64-probe block
             pytest.param(9, 40, True, id="40-exact"),
         ],
     )
-    def test_vanished_draw_is_redrawn_as_in_the_sequential_scan(
+    def test_vanished_draw_is_a_zero_step_as_in_the_sequential_scan(
         self, monkeypatch, trial_seed, draw, exact_step
     ):
         # One qubit has p = 2 active directions; zeroing both normals of
         # direction draw ``draw`` makes that step's norm exactly 0, so
-        # the scan must redraw there, rewinding the batch it falls in.
+        # the probe it falls in takes a zero step there.
         made = []
 
         def zeroed_rng(seed):
@@ -473,9 +497,7 @@ class TestLockstepScan:
         monkeypatch.setattr(np.random, "default_rng", zeroed_rng)
         want = oracle_trial(1, 3, trial_seed, exact_step)
         assert made[1]._pos > 2 * draw  # the oracle walked through the zero draw
-        got = critical_step_for_trial(1, 3, trial_seed, exact_step=exact_step)
-        assert made[3].rewinds == 1
-        assert got == want
+        assert critical_step_for_trial(1, 3, trial_seed, exact_step=exact_step) == want
 
 
 class TestHeuristics:
