@@ -33,6 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import count
+
 __all__ = [
     "StateVector",
     "HypersphericalCoords",
@@ -150,15 +152,26 @@ def _sq_norms(x: np.ndarray) -> np.ndarray:
     return _dots(x, x)
 
 
+def _sine_prefix(theta: np.ndarray):
+    """Signed sine prefixes and moduli of (K, 2n) angles, both (K, n + 1).
+
+    prefix_k is the product of sin(theta_l) over the magnitude angles
+    l < k, and the modulus prefix_k * cos(theta_k) (prefix_n for the last
+    amplitude), before any phase or normalization.  For a unit vector
+    |prefix_k| is the norm of the moduli from k on, the chart's tail norm.
+    """
+    k = theta.shape[0]
+    mag = theta[:, :theta.shape[1] // 2]
+    ones = np.ones((k, 1))
+    prefix = np.cumprod(np.concatenate((ones, np.sin(mag)), axis=1), axis=1)
+    return prefix, prefix * np.concatenate((np.cos(mag), ones), axis=1)
+
+
 def _amplitudes(theta: np.ndarray) -> np.ndarray:
     """``state_from_angles`` on (K, 2n) angles: normalized (K, n + 1) amplitudes."""
     k, p = theta.shape
-    n = p // 2
-    mag = theta[:, :n]
-    ones = np.ones((k, 1))
-    sines = np.cumprod(np.concatenate((ones, np.sin(mag)), axis=1), axis=1)
-    moduli = sines * np.concatenate((np.cos(mag), ones), axis=1)
-    amps = moduli * np.exp(1j * np.concatenate((theta[:, n:], np.zeros((k, 1))), axis=1))
+    _, moduli = _sine_prefix(theta)
+    amps = moduli * np.exp(1j * np.concatenate((theta[:, p // 2:], np.zeros((k, 1))), axis=1))
     norm = np.sqrt(_sq_norms(amps.real) + _sq_norms(amps.imag))
     return amps / norm[:, None]
 
@@ -222,8 +235,10 @@ def random_state(dim: int, rng: np.random.Generator) -> StateVector:
     the result uniform on the unit sphere of C^dim; in particular the
     squared overlap of two independent draws has mean 1/dim.  Clouds of
     states (:func:`qspan.percolation.random_cloud`) come from the same
-    sampler, one row per state.
+    sampler, one row per state.  ``dim`` must be an integer (a numpy one
+    included); anything else is a ``ValueError``.
     """
+    dim = count(dim, "dim")
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     return StateVector(_haar_rows(dim, 1, rng)[0])

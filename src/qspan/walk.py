@@ -22,20 +22,26 @@ an ascending stride grid with fresh step directions per probe; see
 
 Both :func:`run_walk` (the validated public walk) and the probe scan
 run one private kernel on raw arrays, which walks a batch of K walkers
-in lockstep.  Its chart steps call the raw-array chart kernel that
-``to_coords``, ``state_from_angles`` and ``fs_distance`` of
-:mod:`qspan.hilbert` wrap, so a walker's chart point, amplitudes and
-span are those functions' results bit for bit.  Its tangent draw uses
-the block structure of the metric to sample in O(D), with no
-eigendecomposition (see :func:`_tangent`); its tests check the draw
-against the metric ``metric_tensor`` returns, through the covariance
-S S^T = g^-1 of its root S.  The scan draws the directions in the
-order a probe-by-probe scan draws them, so its strides equal those of
-a scan built from :func:`run_walk` bit for bit.  A draw that vanishes
-on every active direction of a walker (probability ~0) is a zero step
-for that walker.  The draw, the zero step and, with exact steps, the
-root find define walk stream :data:`WALK_STREAM`, which a result's
-metadata records.
+in lockstep.  A walker lives in the chart angles of :mod:`qspan.hilbert`
+for its whole walk: the start state is charted once (the kernel behind
+``to_coords``), every step adds a tangent displacement to the angles,
+and amplitudes (the kernel behind ``state_from_angles``) are formed only
+where a distance is measured.  The angles leave the canonical ranges as
+they walk.  Each step reads the moduli m and tail norms t, all the
+metric depends on, straight off the angles, with a sign that makes the
+walker step as its canonical twin in the chart would (see
+:func:`_moduli`), so the walk is that of a walker charted afresh at
+every step, up to rounding.  The tangent draw uses the block structure
+of the metric to sample in O(D), with no eigendecomposition (see
+:func:`_tangent`); its tests check the draw against the metric
+``metric_tensor`` returns, through the covariance S S^T = g^-1 of its
+root S.  The scan draws the directions in the order a probe-by-probe
+scan draws them, so its strides equal those of a scan built from
+:func:`run_walk` bit for bit.  A draw that vanishes on every active
+direction of a walker (probability ~0) is a zero step for that walker.
+The angle walk, the draw, the zero step and, with exact steps, the root
+find define walk stream :data:`WALK_STREAM`, which a result's metadata
+records.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ from scipy.optimize.elementwise import find_root
 from ._checks import count, flag, real
 from ._seeds import spawn
 from .hilbert import HALF_PI, StateVector, fs_distance, random_state
-from .hilbert import _amplitudes, _chart, _dots, _fs_distances, _sq_norms
+from .hilbert import _amplitudes, _chart, _dots, _fs_distances, _sine_prefix, _sq_norms
 
 __all__ = [
     "WalkConfig",
@@ -77,18 +83,19 @@ BRACKET_REL_WIDTH = 1e-3
 #: other rows for some (seed, config) pair in either mode bumps it.
 #: Result files that do not record it are stream 1; the README lists
 #: what each stream changed.
-WALK_STREAM = 4
+WALK_STREAM = 5
 
 #: Probes the scan walks in lockstep per batch, with or without exact
-#: steps.  A lockstep step costs some thirty small numpy calls whatever
-#: its row count, and that call overhead outweighs the probes walked
-#: past a trial's success: on the acceptance grid, where trials need
-#: from 4 to about 270 probes (median about 80), fixed blocks of 64 ran
-#: about 2.2x faster than batches doubling 1, 2, 4, ... up to 32.  Blocks
-#: of 96 ran alike, 128 alike or slower and 256 slower, so 64, the
-#: smallest of the fast sizes, keeps the block of normals and the memory
-#: guard's estimate smallest.  An exact step's bracket scan and root
-#: find cost far more per call than per row, so exact scans gain the
+#: steps.  A lockstep step costs about thirty small numpy calls whatever
+#: its row count (sixty when every step charted the walkers' amplitudes
+#: afresh), and that call overhead outweighs the probes walked past a
+#: trial's success.  With the charting kernel, on the acceptance grid,
+#: where trials need from 4 to about 270 probes (median about 80), fixed
+#: blocks of 64 ran about 2.2x faster than batches doubling 1, 2, 4, ...
+#: up to 32.  Blocks of 96 ran alike, 128 alike or slower and 256 slower,
+#: so 64, the smallest of the fast sizes, keeps the block of normals and
+#: the memory guard's estimate smallest.  An exact step's bracket scan and
+#: root find cost far more per call than per row, so exact scans gain the
 #: most: on 48 exact-step trials (qubits 1, 2 x steps 3, 10), blocks of
 #: 8, 16, 32 and 64 ran 1.4x, 1.9x, 3.8x and 6.2x faster than the scalar
 #: brentq scan they replaced, which walked one probe at a time; 96 and
@@ -178,27 +185,28 @@ def run_walk(
 ) -> WalkRecord:
     """Walk ``config.steps`` strides from ``initial`` and record spans.
 
-    Each step: express the walker in chart coordinates, draw a random
-    tangent displacement of metric length delta_s, displace the angles,
-    and renormalize.  spans[0] is 0 and spans[t] the Fubini-Study
-    distance of the walker after t steps back to the start.  The steps
-    run on the probe scan's kernel, one walker at a time, drawing 2(D-1)
-    normals per step from ``rng``; should they vanish on every active
-    direction the step is a zero step.  Given the same initial state and
-    generator state the record is reproduced bit for bit.
+    The walker starts at the chart angles of ``initial`` and keeps its
+    angles from step to step.  Each step draws a random tangent
+    displacement of metric length delta_s at the walker's angles and adds
+    it to them.  spans[0] is 0 and spans[t] the Fubini-Study distance
+    back to the start of the amplitudes at the angles after t steps.  The
+    steps run on the probe scan's kernel, one walker at a time, drawing
+    2(D-1) normals per step from ``rng``; should they vanish on every
+    active direction the step is a zero step.  Given the same initial
+    state and generator state the record is reproduced bit for bit.
     """
     if initial.dim != config.dim:
         raise ValueError(
             f"initial state dimension {initial.dim} does not match config ({config.dim})"
         )
     a = initial.amplitudes
-    p = 2 * (a.size - 1)
+    theta = _chart(a[None])[0]
     stride = np.array([config.delta_s])
     spans = np.zeros(config.steps + 1)
-    amps = a[None]
     for t in range(1, config.steps + 1):
-        amps = _lockstep(amps[0], stride, rng.standard_normal((1, 1, p)), config.exact_step)
-        spans[t] = _fs_distances(a, amps)[0]
+        normals = rng.standard_normal((1, 1, theta.shape[1]))
+        theta = _lockstep(theta, stride, normals, config.exact_step)
+        spans[t] = _fs_distances(a, _amplitudes(theta))[0]
     reached = (HALF_PI - spans[-1]) <= config.epsilon
     return WalkRecord(spans=spans, reached=bool(reached))
 
@@ -210,22 +218,21 @@ def _exact_stride(
 
     Row k scans outward along the ray theta_k + c * d_theta_k, c = 0.25,
     0.5, ..., until the realized distance from its own amplitudes a_k
-    crosses strides_k.  The scan evaluates ``_SCAN_CHUNK`` scales per row
-    and call, stacked over the rows that have not crossed yet.  One
-    ``find_root`` call then settles the crossing of every bracketed row
-    to within 1e-12 + 1e-14 c; a scale that lands on the stride exactly
-    is kept as is.  Strides near pi/2 may not be realizable along a given
-    ray at all; such a row falls back, on its own, to the scale that
-    maximizes its realized distance.  Every operation acts on each row
-    alone, so a row's step does not depend on the rows beside it.
-    Returns the (K, D) amplitudes of the new points.
+    (those at theta_k) crosses strides_k.  The scan evaluates
+    ``_SCAN_CHUNK`` scales per row and call, stacked over the rows that
+    have not crossed yet.  One ``find_root`` call then settles the
+    crossing of every bracketed row to within 1e-12 + 1e-14 c; a scale
+    that lands on the stride exactly is kept as is.  Strides near pi/2
+    may not be realizable along a given ray at all; such a row falls
+    back, on its own, to the scale that maximizes its realized distance.
+    Every operation acts on each row alone, so a row's step does not
+    depend on the rows beside it.
+    Returns the (K, p) chart angles theta + c * d_theta of the new points;
+    amplitudes are formed only for the distances the scan measures.
     """
 
-    def moved(c, rows) -> np.ndarray:
-        return _amplitudes(theta[rows] + c[:, None] * d_theta[rows])
-
     def realized(c, rows) -> np.ndarray:
-        return _fs_distances(a[rows], moved(c, rows))
+        return _fs_distances(a[rows], _amplitudes(theta[rows] + c[:, None] * d_theta[rows]))
 
     def excess(c, rows) -> np.ndarray:
         return realized(c, rows) - strides[rows]
@@ -261,7 +268,7 @@ def _exact_stride(
             lambda x: -realized(np.array([x]), one)[0], bounds=(0.0, 64.0),
             method="bounded", options={"xatol": 1e-9},
         ).x
-    return moved(c, slice(None))
+    return theta + c[:, None] * d_theta
 
 
 # --- walk kernel -------------------------------------------------------------
@@ -291,29 +298,28 @@ def _tangent(m, tail, strides, xi):
     d_theta the covariance stride**2 g^-1 / p: steps uniform with
     respect to the metric, at O(D) cost and with no eigendecomposition.
     Directions with P_k = 0 or v_d = 0 carry no metric length and get
-    no share of xi.  Where m_D = 0, A is singular along the global
-    phase; u_ph then comes from the projection (I - sqrt(v) sqrt(v)^T)
-    xi_ph, for which d_ph = stride * u_ph / sqrt(v) has the same metric
-    length.  A row whose masked draw vanishes gets a zero displacement.
+    no share of xi.  ``tail`` may carry a sign (see :func:`_moduli`): a
+    negative t_k mirrors magnitude angle k's displacement.  Where m_D = 0,
+    A is singular along the global phase; u_ph then comes from the
+    projection (I - sqrt(v) sqrt(v)^T) xi_ph, for which
+    d_ph = stride * u_ph / sqrt(v) has the same metric length.  A row
+    whose masked draw vanishes gets a zero displacement.
     """
     n = m.shape[1] - 1
-    root_p, root_v, last = tail[:, :n], m[:, :n], m[:, n:]
-    xi = np.where(np.concatenate((root_p, root_v), axis=1) > 0.0, xi, 0.0)
+    root_v, last = m[:, :n], m[:, n]
+    root = np.concatenate((tail[:, :n], root_v), axis=1)
+    active = root != 0.0
+    xi = np.where(active, xi, 0.0)
     edge = last == 0.0
     if edge.any():
         ph = xi[:, n:]
-        xi[:, n:] = np.where(edge, ph - root_v * _dots(root_v, ph)[:, None], ph)
+        xi[:, n:] = np.where(edge[:, None], ph - root_v * _dots(root_v, ph)[:, None], ph)
+        last = np.where(edge, np.inf, last)  # no shift along the global phase
     d = strides[:, None] * _unit_rows(xi)
-    d_ph = d[:, n:]
-    safe_last = np.where(edge, 1.0, last)
-    shift = np.where(edge, 0.0, _dots(root_v, d_ph)[:, None] / (safe_last * (1.0 + safe_last)))
-    return np.concatenate(
-        (
-            d[:, :n] / np.where(root_p > 0.0, root_p, 1.0),
-            d_ph / np.where(root_v > 0.0, root_v, 1.0) + shift,
-        ),
-        axis=1,
-    )
+    shift = _dots(root_v, d[:, n:]) / (last * (1.0 + last))
+    d /= np.where(active, root, 1.0)
+    d[:, n:] += shift[:, None]
+    return d
 
 
 def _unit_rows(u: np.ndarray) -> np.ndarray:
@@ -324,33 +330,63 @@ def _unit_rows(u: np.ndarray) -> np.ndarray:
     return u / norm[:, None]
 
 
-def _lockstep(a, strides, normals, exact_step):
-    """Amplitudes of walks from ``a``, one per stride, after their steps.
+def _moduli(theta):
+    """Moduli m and signed tail norms t of the walkers at (K, p) chart angles ``theta``.
 
-    ``normals`` is a (K, steps, 2(D - 1)) block of standard normals, row
-    k's step t drawn from ``normals[k, t]``.  With ``exact_step`` every
-    step of the batch goes through one :func:`_exact_stride` call.
+    With prefix_k the product of sin(theta_l) over l < k, m_k =
+    |prefix_k cos(theta_k)| (m_D = |prefix_D|) and, for each of the D - 1
+    magnitude angles, |t_k| = |prefix_k|: the values the chart of the
+    walkers' amplitudes gives, whatever ranges the angles are in.  The chart folds each magnitude angle into [0, pi/2]: theta_k + pi
+    and -theta_k give the same ray, so the folded angle moves with
+    theta_k where sin(theta_k) cos(theta_k) > 0 and against it where it is
+    negative.  t_k carries that sign, and :func:`_tangent` mirrors the
+    displacement of an angle with a negative t_k, so the walker steps as
+    its folded twin in the chart does: the walk is the chart's walk up to
+    rounding.  The chart puts theta_k = pi/2 where an amplitude vanishes,
+    and cos gives 6e-17 there rather than 0, so a modulus below 2**-53 of
+    its tail norm counts as 0: that amplitude's directions get no share
+    of a draw, as they get none from the chart.
     """
-    amps = np.broadcast_to(a, (strides.size, a.size))
+    prefix, moduli = _sine_prefix(theta)
+    tail = np.abs(prefix)
+    m = np.abs(moduli)
+    m[m < 2.0**-53 * tail] = 0.0
+    # moduli_k * prefix_{k+1} = prefix_k**2 sin(theta_k) cos(theta_k)
+    return m, np.copysign(tail[:, :-1], moduli[:, :-1] * prefix[:, 1:])
+
+
+def _lockstep(theta, strides, normals, exact_step):
+    """Chart angles of walks from ``theta``, one per stride, after their steps.
+
+    ``theta`` is one start point for every walker, or a (K, p) array of
+    one per walker.  ``normals`` is a (K, steps, p) block of standard
+    normals, row k's step t drawn from ``normals[k, t]``.  Each step adds
+    the tangent displacement at the walkers' moduli to their angles; with
+    ``exact_step`` every step of the batch goes through one
+    :func:`_exact_stride` call, from the amplitudes at the current angles.
+    """
+    theta = np.broadcast_to(theta, (strides.size, theta.shape[-1]))
     for t in range(normals.shape[1]):
-        theta, m, tail = _chart(amps)
+        m, tail = _moduli(theta)
         d_theta = _tangent(m, tail, strides, normals[:, t])
         if exact_step:
-            amps = _exact_stride(amps, theta, d_theta, strides)
+            theta = _exact_stride(_amplitudes(theta), theta, d_theta, strides)
         else:
-            amps = _amplitudes(theta + d_theta)
-    return amps
+            theta = theta + d_theta
+    return theta
 
 
-def _probe_batch(a, strides, steps, exact_step, rng):
+def _probe_batch(a, theta, strides, steps, exact_step, rng):
     """Final spans of the probes at ``strides``, in grid order.
 
-    The batch draws all its normals at once as a (K, steps, p) block,
-    the same variates K * steps sequential draws of p give, so each probe
-    walks the steps :func:`run_walk` would walk from the same generator.
+    The probes walk from the start's amplitudes ``a`` and chart angles
+    ``theta``.  The batch draws all its normals at once as a (K, steps, p)
+    block, the same variates K * steps sequential draws of p give, so each
+    probe walks the steps :func:`run_walk` would walk from the same
+    generator.
     """
-    normals = rng.standard_normal((strides.size, steps, 2 * (a.size - 1)))
-    return _fs_distances(a, _lockstep(a, strides, normals, exact_step))
+    normals = rng.standard_normal((strides.size, steps, theta.size))
+    return _fs_distances(a, _amplitudes(_lockstep(theta, strides, normals, exact_step)))
 
 
 @dataclass(frozen=True)
@@ -412,10 +448,11 @@ def critical_step_for_trial(
 
     init_ss, dir_ss = spawn(trial_seed, 2)
     a = random_state(config.dim, np.random.default_rng(init_ss)).amplitudes
+    theta = _chart(a[None])[0][0]
     rng = np.random.default_rng(dir_ss)
     for done in range(0, strides.size, _PROBE_BLOCK):
         batch = strides[done:done + _PROBE_BLOCK]
-        final = _probe_batch(a, batch, config.steps, config.exact_step, rng)
+        final = _probe_batch(a, theta, batch, config.steps, config.exact_step, rng)
         reached = np.flatnonzero(HALF_PI - final <= config.epsilon)
         if reached.size:
             return TrialCritical(value=float(batch[reached[0]]), censored=False)

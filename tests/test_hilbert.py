@@ -16,7 +16,7 @@ from qspan.hilbert import (
     state_from_angles,
     to_coords,
 )
-from qspan.hilbert import _amplitudes, _chart, _fs_distances
+from qspan.hilbert import _amplitudes, _chart, _fs_distances, _sine_prefix
 
 HALF_PI = np.pi / 2
 
@@ -84,6 +84,16 @@ class TestRandomState:
     def test_invalid_dimension(self):
         with pytest.raises(ValueError):
             random_state(0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("dim", [2.0, 4.5, True, False, "4"])
+    def test_dimension_must_be_an_integer(self, dim):
+        with pytest.raises(ValueError, match="dim"):
+            random_state(dim, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("dim", [np.int64(4), np.uint8(4)])
+    def test_numpy_integer_dimension(self, dim):
+        want = random_state(4, np.random.default_rng(2)).amplitudes
+        assert np.array_equal(random_state(dim, np.random.default_rng(2)).amplitudes, want)
 
     def test_mean_squared_overlap_is_one_over_dim(self):
         # E |<psi|phi>|^2 = 1/D for independent Haar pairs; D = 8,
@@ -182,6 +192,40 @@ class TestChartKernel:
                 bits(state_from_angles(angles[k]).amplitudes), bits(moved[k])
             )
             assert bits(fs_distance(stack[0], psi)) == bits(spans[k])
+
+
+#: A magnitude angle off the canonical [0, pi/2]: either sign, up to three
+#: half-turns away, and with |sin| >= 0.01, so a product of 63 sines stays
+#: clear of underflow; or one of the chart's edge angles 0 and pi/2.
+_MAGNITUDE = st.one_of(
+    st.sampled_from([0.0, HALF_PI]),
+    st.builds(
+        lambda x, sign, turns: sign * x + turns * np.pi,
+        st.floats(0.01, np.pi - 0.01), st.sampled_from([-1.0, 1.0]), st.integers(-3, 3),
+    ),
+)
+
+
+@st.composite
+def angle_stacks(draw):
+    """(K, 2(D - 1)) chart angles for D = 2..64, off the canonical ranges."""
+    n = draw(st.integers(1, 63))
+    rows = draw(st.integers(1, 4))
+    mag = draw(st.lists(_MAGNITUDE, min_size=rows * n, max_size=rows * n))
+    ph = draw(st.lists(st.floats(-50.0, 50.0), min_size=rows * n, max_size=rows * n))
+    return np.concatenate((np.reshape(mag, (rows, n)), np.reshape(ph, (rows, n))), axis=1)
+
+
+class TestSinePrefix:
+    """The moduli and tail norms the walk reads off its angles."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(angle_stacks())
+    def test_matches_the_chart_of_the_amplitudes(self, theta):
+        prefix, moduli = _sine_prefix(theta)
+        _, m, tail = _chart(_amplitudes(theta))
+        np.testing.assert_allclose(np.abs(moduli), m, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(np.abs(prefix), tail, rtol=1e-12, atol=0.0)
 
 
 class TestCoordinates:

@@ -10,8 +10,11 @@ from hypothesis import strategies as st
 import qspan.walk
 from qspan.hilbert import StateVector, fs_distance, metric_tensor, random_state, to_coords
 from qspan.walk import (
+    _amplitudes,
     _chart,
     _exact_stride,
+    _fs_distances,
+    _lockstep,
     _tangent,
     BRACKET_REL_WIDTH,
     CriticalStepResult,
@@ -276,6 +279,28 @@ class TestTangentSampler:
         assert rec.spans[1] == rec.spans[0] == 0.0
         assert rec.spans[2] > 0.0
 
+    @pytest.mark.parametrize("name", ["interior-zero", "last-and-interior-zero"])
+    @pytest.mark.parametrize("exact_step", [False, True])
+    def test_second_step_at_a_vanished_amplitude(self, name, exact_step):
+        # The chart puts a vanished amplitude's magnitude angle at pi/2,
+        # where cos gives 6e-17, not 0.  After a zero first step the walker
+        # still sits there, and its second step must give that amplitude's
+        # directions no share, as the chart of the amplitudes does.
+        a = StateVector.from_array(EDGE_STATES[name]).amplitudes
+        theta, m, tail = _chart(a[None])
+        assert HALF_PI in theta[0]
+        normals = np.random.default_rng(13).standard_normal((1, 2, 6))
+        normals[:, 0] = 0.0
+        stride = np.array([0.3])
+        after = _lockstep(theta[0], stride, normals, exact_step)
+        moved = after - theta
+        want = _tangent(m, tail, stride, normals[:, 1])
+        if exact_step:
+            top = np.argmax(np.abs(want))
+            want *= moved[0, top] / want[0, top]
+            assert _fs_distances(a, _amplitudes(after))[0] == pytest.approx(0.3, rel=1e-9)
+        np.testing.assert_allclose(moved, want, rtol=1e-12, atol=0.0)
+
     @pytest.mark.parametrize("name", sorted(EDGE_STATES))
     @pytest.mark.parametrize("exact_step", [False, True])
     def test_walks_from_chart_edges(self, name, exact_step):
@@ -286,6 +311,43 @@ class TestTangentSampler:
         assert np.all((rec.spans >= 0.0) & (rec.spans <= HALF_PI))
         if exact_step:
             assert rec.spans[1] == pytest.approx(0.3, rel=1e-6)
+
+
+def round_trip_walk(a, strides, normals, exact_step):
+    """Walk stream 4's kernel: the amplitudes are charted afresh at every step."""
+    amps = np.broadcast_to(a, (strides.size, a.size))
+    for t in range(normals.shape[1]):
+        theta, m, tail = _chart(amps)
+        d_theta = _tangent(m, tail, strides, normals[:, t])
+        if exact_step:
+            amps = _amplitudes(_exact_stride(amps, theta, d_theta, strides))
+        else:
+            amps = _amplitudes(theta + d_theta)
+    return amps
+
+
+class TestAngleWalker:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        qubits=st.integers(1, 4),
+        steps=st.integers(1, 10),
+        exact_step=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_spans_match_the_amplitude_round_trip(self, qubits, steps, exact_step, seed):
+        # Same start, same normals: walking in angles moves only rounding.
+        # Strides stop at 0.2: longer ones bring walkers near the chart's
+        # edges, where a step divides by tail norms down to 1e-6 and any
+        # rounding grows, the round trip's own too.  Rotating its start by
+        # a global phase of 1e-15 moved 10-step spans by 1e-9 at stride
+        # 0.3 and by 0.2 at stride 1.0, as much as walking in angles did.
+        rng = np.random.default_rng(seed)
+        a = random_state(2**qubits, rng).amplitudes
+        strides = np.linspace(0.01, 0.2, 8)
+        normals = rng.standard_normal((strides.size, steps, 2 * (a.size - 1)))
+        theta = _lockstep(_chart(a[None])[0][0], strides, normals, exact_step)
+        want = _fs_distances(a, round_trip_walk(a, strides, normals, exact_step))
+        np.testing.assert_allclose(_fs_distances(a, _amplitudes(theta)), want, rtol=0.0, atol=1e-9)
 
 
 class TestExactStride:
@@ -323,7 +385,7 @@ class TestExactStride:
         assert len(fallbacks) == 2 * stacked_fallbacks
         assert np.array_equal(stacked.view(float), lone.view(float))
         realized = np.array([
-            fs_distance(StateVector(x), StateVector(y)) for x, y in zip(a, stacked)
+            fs_distance(StateVector(x), StateVector(y)) for x, y in zip(a, _amplitudes(stacked))
         ])
         reached = strides < HALF_PI
         np.testing.assert_allclose(realized[reached], strides[reached], rtol=1e-11)
