@@ -2,18 +2,27 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 import numpy as np
+
+from ._checks import count
 
 
 def as_seedseq(seed) -> np.random.SeedSequence:
     """The SeedSequence behind an integer, an entropy sequence or a SeedSequence.
 
-    Integers are reduced mod 2**64, so negative seeds are accepted.
+    Integers (numpy ones included) are reduced mod 2**64, so negative
+    seeds are accepted.  Anything else, bools, floats and strings among
+    them, or a sequence holding such an item, is a ``ValueError`` naming
+    ``seed``.
     """
     if isinstance(seed, np.random.SeedSequence):
         return seed
-    if isinstance(seed, (int, np.integer)):
-        return np.random.SeedSequence(int(seed) % 2**64)
+    if isinstance(seed, (str, bytes)) or not isinstance(seed, Iterable):
+        return np.random.SeedSequence(count(seed, "seed") % 2**64)
+    for item in seed:
+        count(item, "seed")
     return np.random.SeedSequence(seed)
 
 

@@ -40,12 +40,7 @@ from .analysis import (
     fit_saturating_power_law,
 )
 from .percolation import ExperimentFailureError, critical_threshold_sample
-from .walk import (
-    _PROBE_BLOCK,
-    _SCAN_CHUNK,
-    WALK_STREAM,
-    critical_step_for_trial,
-)
+from .walk import _CELL_TRIALS, _PROBE_BLOCK, _SCAN_CHUNK, WALK_STREAM, _cell_criticals
 
 __all__ = [
     "EXPERIMENT_KINDS",
@@ -120,11 +115,13 @@ def _largest_array_bytes(config: ExperimentConfig) -> int:
     dim = 2 ** min(max(config.qubits), 64)
     survey = _row_kind(config.kind, config.trials)
     if survey == "walk-critical":
-        # one lockstep batch's (probes, steps, 2(D - 1)) block of normals;
-        # exact steps also stack _SCAN_CHUNK complex rows of D per probe
-        normals = _PROBE_BLOCK * max(config.steps) * 2 * (dim - 1) * 8
+        # one lockstep batch stacks the probe blocks of up to _CELL_TRIALS
+        # trials: its (probes, steps, 2(D - 1)) block of normals; exact
+        # steps also stack _SCAN_CHUNK complex rows of D per probe
+        probes = min(config.trials, _CELL_TRIALS) * _PROBE_BLOCK
+        normals = probes * max(config.steps) * 2 * (dim - 1) * 8
         if config.exact_step:
-            return max(normals, _PROBE_BLOCK * _SCAN_CHUNK * dim * 16)
+            return max(normals, probes * _SCAN_CHUNK * dim * 16)
         return normals
     if survey == "percolation-critical":
         # a cloud's (points, 2D) block of float64 normals (the same bytes as
@@ -289,33 +286,35 @@ def _map_tasks(fn, tasks: list, workers: int) -> list:
         return list(pool.map(fn, tasks, chunksize=chunk))
 
 
-def _seeded_survey(config: ExperimentConfig, kind: str, count: int, fn, *extra) -> list:
-    """Run ``fn`` on ``count`` substreams per (qubits, steps) cell.
+def _seeded_survey(
+    config: ExperimentConfig, kind: str, count: int, chunk: int, fn, *extra
+) -> list:
+    """Run ``fn`` on ``count`` substreams per (qubits, steps) cell, ``chunk`` at a time.
 
-    Task ``(n, m, seed_seq, *extra)`` draws from substream ``i`` of
-    SeedSequence([seed, kind code, n, m]).  Returns ((n, m, i), outcome)
-    pairs in row order.
+    Task ``(n, m, seed_seqs, *extra)`` gets up to ``chunk`` consecutive
+    substreams of SeedSequence([seed, kind code, n, m]) and returns one
+    outcome per substream.  Returns ((n, m, i), outcome) pairs in row
+    order, substream ``i`` giving row ``i`` of its cell.
     """
     keys = []
     tasks = []
     for n in config.qubits:
         for m in config.steps:
-            base = np.random.SeedSequence([config.seed, _KIND_CODES[kind], n, m])
-            for i, ss in enumerate(base.spawn(count)):
-                keys.append((n, m, i))
-                tasks.append((n, m, ss, *extra))
-    return list(zip(keys, _map_tasks(fn, tasks, config.workers)))
+            seeds = np.random.SeedSequence([config.seed, _KIND_CODES[kind], n, m]).spawn(count)
+            keys += [(n, m, i) for i in range(count)]
+            tasks += [(n, m, seeds[i:i + chunk], *extra) for i in range(0, count, chunk)]
+    outcomes = [o for done in _map_tasks(fn, tasks, config.workers) for o in done]
+    return list(zip(keys, outcomes))
 
 
-def _walk_trial_task(task):
-    qubits, steps, seed_seq, epsilon, exact_step = task
-    t = critical_step_for_trial(qubits, steps, seed_seq, epsilon=epsilon, exact_step=exact_step)
-    return t.value, t.censored
+def _walk_cell_task(task):
+    qubits, steps, seed_seqs, epsilon, exact_step = task
+    return _cell_criticals(qubits, steps, seed_seqs, epsilon=epsilon, exact_step=exact_step)
 
 
 def _percolation_sample_task(task):
-    qubits, n_points, seed_seq = task
-    return critical_threshold_sample(qubits, n_points, seed_seq)
+    qubits, n_points, seed_seqs = task
+    return [critical_threshold_sample(qubits, n_points, ss) for ss in seed_seqs]
 
 
 def _row(kind: str, *values) -> dict:
@@ -324,17 +323,15 @@ def _row(kind: str, *values) -> dict:
 
 def _walk_rows(config: ExperimentConfig) -> list:
     outcomes = _seeded_survey(
-        config, "walk-critical", config.trials, _walk_trial_task, config.epsilon, config.exact_step
+        config, "walk-critical", config.trials, _CELL_TRIALS, _walk_cell_task,
+        config.epsilon, config.exact_step,
     )
-    return [
-        _row("walk-critical", n, m, i, float(value), bool(censored))
-        for (n, m, i), (value, censored) in outcomes
-    ]
+    return [_row("walk-critical", n, m, i, t.value, t.censored) for (n, m, i), t in outcomes]
 
 
 def _percolation_rows(config: ExperimentConfig) -> list:
     outcomes = _seeded_survey(
-        config, "percolation-critical", config.samples, _percolation_sample_task
+        config, "percolation-critical", config.samples, 1, _percolation_sample_task
     )
     rows = []
     found: dict = {}

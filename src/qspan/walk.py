@@ -18,7 +18,12 @@ would already be.
 The per-trial critical stride is the smallest delta_s at which a walk
 from the trial's initial state reaches the far edge, located by probing
 an ascending stride grid with fresh step directions per probe; see
-:func:`critical_step_for_trial`.
+:func:`critical_step_for_trial`.  One cell kernel scans the trials of a
+(qubits, steps) cell together: each trial walks the same 64-probe blocks
+of the grid from its own start with its own directions, and every block
+stacks the probes of all trials still scanning into one lockstep batch.
+:func:`critical_step_length` runs it over chunks of trials, and
+:func:`critical_step_for_trial` is its one-trial case.
 
 Both :func:`run_walk` (the validated public walk) and the probe scan
 run one private kernel on raw arrays, which walks a batch of K walkers
@@ -85,11 +90,13 @@ BRACKET_REL_WIDTH = 1e-3
 #: what each stream changed.
 WALK_STREAM = 5
 
-#: Probes the scan walks in lockstep per batch, with or without exact
-#: steps.  A lockstep step costs about thirty small numpy calls whatever
-#: its row count (sixty when every step charted the walkers' amplitudes
-#: afresh), and that call overhead outweighs the probes walked past a
-#: trial's success.  With the charting kernel, on the acceptance grid,
+#: Probes each trial walks per lockstep block, with or without exact
+#: steps; the cell kernel stacks the blocks of up to ``_CELL_TRIALS``
+#: trials of one cell into one batch.  A lockstep step costs about
+#: thirty small numpy calls whatever its row count (sixty when every
+#: step charted the walkers' amplitudes afresh), and that call overhead
+#: outweighs the probes walked past a trial's success.  Measured one
+#: trial per batch, with the charting kernel, on the acceptance grid,
 #: where trials need from 4 to about 270 probes (median about 80), fixed
 #: blocks of 64 ran about 2.2x faster than batches doubling 1, 2, 4, ...
 #: up to 32.  Blocks of 96 ran alike, 128 alike or slower and 256 slower,
@@ -103,6 +110,18 @@ WALK_STREAM = 5
 _PROBE_BLOCK = 64
 #: Ray scales the exact-step bracket scan evaluates per row and call.
 _SCAN_CHUNK = 8
+#: Trials of one cell the cell kernel stacks into one lockstep batch per
+#: block, and so the most trials one worker task of the command line
+#: scans.  A batch pays a lockstep step's numpy call overhead once, so
+#: stacking gains where rows are cheap.  On the acceptance walk survey
+#: (100 trials per cell, one core, the same strides bit for bit) the scan
+#: trial by trial took 11.8-12.4 s, and chunks of 4, 8, 16 and 32 trials
+#: took 7.0-9.1, 6.4-8.5, 6.4-7.9 and 6.3-8.2 s; one chunk of all 100
+#: took 7.7-8.3 s.  16 is the smallest of the fast sizes, which keeps
+#: the stacked normals and the memory guard's estimate smallest.  From
+#: 5 qubits on arithmetic bounds a step, and 16-trial chunks ran within
+#: a few percent of single trials.
+_CELL_TRIALS = 16
 
 
 def paper_epsilon(qubits: int) -> float:
@@ -376,17 +395,26 @@ def _lockstep(theta, strides, normals, exact_step):
     return theta
 
 
-def _probe_batch(a, theta, strides, steps, exact_step, rng):
-    """Final spans of the probes at ``strides``, in grid order.
+def _probe_batch(a, theta, strides, rngs, steps, exact_step):
+    """Final spans of the probes at ``strides`` from each start, as a (starts, K) array.
 
-    The probes walk from the start's amplitudes ``a`` and chart angles
-    ``theta``.  The batch draws all its normals at once as a (K, steps, p)
-    block, the same variates K * steps sequential draws of p give, so each
-    probe walks the steps :func:`run_walk` would walk from the same
-    generator.
+    Start k, with amplitudes ``a[k]`` and chart angles ``theta[k]``,
+    walks every stride.  It draws its normals from ``rngs[k]`` at once
+    as a (K, steps, p) block, the same variates K * steps sequential
+    draws of p give, so each probe walks the steps :func:`run_walk`
+    would walk from the same generator.  The starts' probes are stacked
+    in start order into one lockstep batch; a lone start broadcasts over
+    its probes and its normals go in as drawn, with no repeat or copy.
     """
-    normals = rng.standard_normal((strides.size, steps, theta.size))
-    return _fs_distances(a, _amplitudes(_lockstep(theta, strides, normals, exact_step)))
+    k = strides.size
+    if len(rngs) == 1:
+        normals = rngs[0].standard_normal((k, steps, theta.shape[1]))
+    else:
+        normals = np.concatenate([rng.standard_normal((k, steps, theta.shape[1])) for rng in rngs])
+        a, theta = np.repeat(a, k, axis=0), np.repeat(theta, k, axis=0)
+        strides = np.tile(strides, len(rngs))
+    theta = _lockstep(theta, strides, normals, exact_step)
+    return _fs_distances(a, _amplitudes(theta)).reshape(len(rngs), k)
 
 
 @dataclass(frozen=True)
@@ -419,19 +447,37 @@ def critical_step_for_trial(
     exactly; a trial that still fails there is censored: recorded at
     pi/2 and flagged, to be excluded from averages by the caller.
 
-    Consecutive probes run in lockstep blocks of 64 walks
-    (``_PROBE_BLOCK``) from the first probe on, with or without
+    This is the one-trial case of the cell kernel, which scans many
+    trials of one (qubits, steps) cell in lockstep (see
+    :func:`critical_step_length`).  Consecutive probes run in blocks of
+    64 walks (``_PROBE_BLOCK``) from the first probe on, with or without
     ``exact_step``; an exact step brackets and root-finds the whole block
     at once.  A block that contains a success ends the scan at its first
-    success in grid order, and the probes after it are discarded.  The block draws
-    its directions in probe order, so the result equals, bit for bit,
-    that of a scan that walks each probe with :func:`run_walk` and stops
-    at the first success.
+    success in grid order, and the probes after it are discarded.  The
+    block draws its directions in probe order, so the result equals, bit
+    for bit, that of a scan that walks each probe with :func:`run_walk`
+    and stops at the first success.
 
     Results are reproducible bit for bit from (seed, qubit count, steps,
     stride grid): probe order is deterministic, and the direction stream
     is consumed sequentially across probes.  The arguments are checked
     through :class:`WalkConfig` before anything is drawn.
+    """
+    return _cell_criticals(
+        qubits, steps, [trial_seed], epsilon=epsilon, exact_step=exact_step
+    )[0]
+
+
+def _cell_criticals(qubits, steps, trial_seeds, *, epsilon, exact_step) -> list:
+    """:func:`critical_step_for_trial` of each of ``trial_seeds``, scanned in lockstep.
+
+    Every trial charts its own start and keeps its own direction
+    generator.  At block b every trial still live walks the same grid
+    strides ``strides[64b:64b + 64]``, all of them in one
+    :func:`_probe_batch` of live x 64 walkers, and a trial retires at its
+    first success in grid order; one that fails at pi/2 too is censored.
+    Every kernel operation acts on each row alone, so each trial's
+    result is bit for bit its lone scan's.
     """
     config = WalkConfig(
         qubits=qubits, steps=steps, delta_s=HALF_PI, epsilon=epsilon, exact_step=exact_step
@@ -446,17 +492,29 @@ def critical_step_for_trial(
         s += grid
     strides = np.array(strides + [HALF_PI])
 
-    init_ss, dir_ss = spawn(trial_seed, 2)
-    a = random_state(config.dim, np.random.default_rng(init_ss)).amplitudes
-    theta = _chart(a[None])[0][0]
-    rng = np.random.default_rng(dir_ss)
+    starts, angles, rngs = [], [], []
+    for trial_seed in trial_seeds:
+        init_ss, dir_ss = spawn(trial_seed, 2)
+        a = random_state(config.dim, np.random.default_rng(init_ss)).amplitudes
+        starts.append(a)
+        angles.append(_chart(a[None])[0][0])
+        rngs.append(np.random.default_rng(dir_ss))
+    starts, angles = np.array(starts), np.array(angles)
+    values = np.full(len(rngs), HALF_PI)
+    live = np.arange(len(rngs))
     for done in range(0, strides.size, _PROBE_BLOCK):
         batch = strides[done:done + _PROBE_BLOCK]
-        final = _probe_batch(a, theta, batch, config.steps, config.exact_step, rng)
-        reached = np.flatnonzero(HALF_PI - final <= config.epsilon)
-        if reached.size:
-            return TrialCritical(value=float(batch[reached[0]]), censored=False)
-    return TrialCritical(value=float(HALF_PI), censored=True)
+        final = _probe_batch(starts, angles, batch, rngs, config.steps, config.exact_step)
+        reached = HALF_PI - final <= config.epsilon
+        hit = reached.any(axis=1)
+        if hit.any():
+            values[live[hit]] = batch[reached.argmax(axis=1)[hit]]
+            kept = ~hit
+            live, starts, angles = live[kept], starts[kept], angles[kept]
+            rngs = [rng for rng, keep in zip(rngs, kept) if keep]
+            if not rngs:
+                break
+    return [TrialCritical(value=float(v), censored=k in live) for k, v in enumerate(values)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -499,15 +557,23 @@ def critical_step_length(
 ) -> CriticalStepResult:
     """Mean critical stride over independent trials.
 
-    ``seed`` may be an integer or a SeedSequence; per-trial substreams
-    are spawned from it, so any scheduling of the trials (including
-    none) yields identical results, trial by trial.
+    ``seed`` may be an integer, an entropy sequence or a SeedSequence;
+    per-trial substreams are spawned from it.  The trials are scanned
+    by the cell kernel in chunks of up to ``_CELL_TRIALS``, each chunk
+    in one lockstep batch per block of probes.  Each trial gives the
+    value its lone :func:`critical_step_for_trial` scan gives, bit for
+    bit, however the trials are chunked.
     """
     if count(trials, "trials") < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    seeds = spawn(seed, trials)
     outcomes = [
-        critical_step_for_trial(qubits, steps, trial_ss, epsilon=epsilon, exact_step=exact_step)
-        for trial_ss in spawn(seed, trials)
+        t
+        for start in range(0, trials, _CELL_TRIALS)
+        for t in _cell_criticals(
+            qubits, steps, seeds[start:start + _CELL_TRIALS],
+            epsilon=epsilon, exact_step=exact_step,
+        )
     ]
     values = np.array([t.value for t in outcomes])
     censored = np.array([t.censored for t in outcomes])
@@ -522,7 +588,12 @@ def critical_step_length(
 
 
 def dimension_factor(qubits: int) -> float:
-    """Empirical reachable-fraction factor f = 10.5 * qubits**-1.5."""
+    """Empirical reachable-fraction factor f = 10.5 * qubits**-1.5.
+
+    ``qubits`` must be an integer (a numpy one included); anything else
+    is a ``ValueError``.
+    """
+    qubits = count(qubits, "qubits")
     if qubits < 1:
         raise ValueError(f"qubits must be >= 1, got {qubits}")
     return 10.5 * qubits**-1.5
@@ -533,8 +604,10 @@ def heuristic_span(delta_s: float, steps: int, qubits: int) -> float:
 
     Normalized so that a span of 1 means the far edge pi/2; the factor
     f(qubits) shrinks the effective reachable volume as the register
-    grows.
+    grows.  Counts must be integers and ``delta_s`` a real number
+    (numpy scalars included); anything else is a ``ValueError``.
     """
+    delta_s, steps = real(delta_s, "delta_s"), count(steps, "steps")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     return (2.0 / np.pi) * delta_s * math.sqrt(steps * dimension_factor(qubits))
@@ -544,7 +617,9 @@ def heuristic_critical_step(steps: int, qubits: int) -> float:
     """Stride at which the heuristic span reaches the far edge.
 
     Inverts heuristic_span(...) == 1: delta_s = (pi/2) / sqrt(steps * f).
+    Counts must be integers; anything else is a ``ValueError``.
     """
+    steps = count(steps, "steps")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     return HALF_PI / math.sqrt(steps * dimension_factor(qubits))

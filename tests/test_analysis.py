@@ -196,6 +196,25 @@ class TestConcentrationBound:
         with pytest.raises(ValueError):
             overlap_probability_bound(0)
 
+    @pytest.mark.parametrize(
+        "dim, epsilon, field",
+        [("4", 0.1, "dim"), (4.5, 0.1, "dim"), (True, 0.1, "dim"), (None, 0.1, "dim"),
+         (4, "0.1", "epsilon"), (4, True, "epsilon"), (4, None, "epsilon")],
+    )
+    def test_concentration_bound_argument_types(self, dim, epsilon, field):
+        with pytest.raises(ValueError, match=field):
+            concentration_bound(dim, epsilon)
+
+    @pytest.mark.parametrize("dim", ["4", 4.5, 4.0, True, None])
+    def test_overlap_bound_argument_types(self, dim):
+        with pytest.raises(ValueError, match="dim"):
+            overlap_probability_bound(dim)
+
+    def test_numpy_scalars_are_accepted(self):
+        assert concentration_bound(np.int64(16), np.float32(0.25)) == \
+            concentration_bound(16, float(np.float32(0.25)))
+        assert overlap_probability_bound(np.uint8(64)) == overlap_probability_bound(64)
+
 
 class TestEmpiricalConcentration:
     def test_matches_exact_beta_tail(self):

@@ -23,6 +23,7 @@ from qspan.cli import (
     render,
     run_experiment,
 )
+from qspan.walk import _CELL_TRIALS
 
 WALK = dict(kind="walk-critical", qubits=(1,), steps=(3,), trials=4, seed=42)
 
@@ -497,7 +498,7 @@ class TestMemoryGuard:
         def refuse(*args, **kwargs):
             raise AssertionError("survey ran past the memory guard")
 
-        for name in ("critical_step_for_trial", "critical_threshold_sample",
+        for name in ("_cell_criticals", "critical_threshold_sample",
                      "empirical_concentration"):
             monkeypatch.setattr(cli, name, refuse)
 
@@ -540,6 +541,18 @@ class TestMemoryGuard:
             # complex rows of D outweigh the 64 * 1 * 2(D - 1) normals
             (dict(kind="walk-critical", qubits=(4,), steps=(1,), trials=1, exact_step=True),
              64 * 8 * 16 * 16),
+            # a lockstep batch stacks the probe blocks of the trials of a
+            # cell, up to _CELL_TRIALS of them
+            (dict(kind="walk-critical", qubits=(4,), steps=(100,), trials=3),
+             3 * 64 * 100 * 30 * 8),
+            (dict(kind="walk-critical", qubits=(4,), steps=(100,), trials=_CELL_TRIALS + 1),
+             _CELL_TRIALS * 64 * 100 * 30 * 8),
+            (dict(kind="fit", qubits=(2, 4), steps=(3, 100), trials=1000, exact_step=True),
+             _CELL_TRIALS * 64 * 100 * 30 * 8),
+            (dict(kind="walk-critical", qubits=(4,), steps=(1,), trials=3, exact_step=True),
+             3 * 64 * 8 * 16 * 16),
+            (dict(kind="walk-critical", qubits=(4,), steps=(1,), trials=1000, exact_step=True),
+             _CELL_TRIALS * 64 * 8 * 16 * 16),
         ],
     )
     def test_refuses_exactly_above_physical_memory(self, monkeypatch, config, largest):
@@ -583,8 +596,10 @@ def _exit_worker(*args, **kwargs):
     reason="the patched trial function reaches the workers only through fork",
 )
 def test_crashed_worker_is_runtime_failure(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "critical_step_for_trial", _exit_worker)
-    code = main(["--experiment", "walk-critical", "--trials", "2", "--workers", "2"])
+    # two cells make two tasks, so the map runs in worker processes
+    monkeypatch.setattr(cli, "_walk_cell_task", _exit_worker)
+    code = main(["--experiment", "walk-critical", "--qubits", "1,2", "--trials", "2",
+                 "--workers", "2"])
     assert code == 1
     assert capsys.readouterr().err.startswith("qspan: failed: ")
 
@@ -608,7 +623,8 @@ def test_pool_capped_at_task_and_cpu_counts(monkeypatch, tmp_path):
             return map(fn, tasks)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
-    argv = ["--experiment", "walk-critical", "--steps", "3", "--trials", "4"]
+    # two cells of two trial chunks each make four tasks
+    argv = ["--experiment", "walk-critical", "--steps", "3,4", "--trials", str(_CELL_TRIALS + 4)]
     rows = {}
     for workers in ("1", "100000"):
         out = str(tmp_path / f"w{workers}.csv")

@@ -11,6 +11,7 @@ import qspan.walk
 from qspan.hilbert import StateVector, fs_distance, metric_tensor, random_state, to_coords
 from qspan.walk import (
     _amplitudes,
+    _cell_criticals,
     _chart,
     _exact_stride,
     _fs_distances,
@@ -562,7 +563,117 @@ class TestLockstepScan:
         assert critical_step_for_trial(1, 3, trial_seed, exact_step=exact_step) == want
 
 
+class TestCellKernel:
+    """The cell kernel scans the trials of a cell in one lockstep batch per block."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        qubits=st.integers(1, 3),
+        steps=st.integers(1, 12),
+        seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6),
+    )
+    def test_matches_probe_by_probe_scans(self, qubits, steps, seeds):
+        got = _cell_criticals(qubits, steps, seeds, epsilon=None, exact_step=False)
+        assert got == [oracle_trial(qubits, steps, seed) for seed in seeds]
+
+    # the oracle's exact steps root-find one walker per call, so exact
+    # examples are fewer and shorter, as in TestLockstepScan
+    @settings(max_examples=3, deadline=None)
+    @given(
+        qubits=st.integers(1, 3),
+        steps=st.integers(1, 6),
+        seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3),
+    )
+    def test_matches_probe_by_probe_scans_with_exact_steps(self, qubits, steps, seeds):
+        got = _cell_criticals(qubits, steps, seeds, epsilon=None, exact_step=True)
+        assert got == [oracle_trial(qubits, steps, seed, exact_step=True) for seed in seeds]
+
+    @pytest.mark.parametrize(
+        "seeds, draw, exact_step",
+        [
+            pytest.param((5, 9, 77), 40, False, id="40"),
+            # the zero step of seed 242 falls in its second 64-probe block
+            pytest.param((9, 242, 5), 199, False, id="199-second-block"),
+            pytest.param((5, 9, 77), 40, True, id="40-exact"),
+        ],
+    )
+    def test_vanished_draw_in_one_trial_of_several(self, monkeypatch, seeds, draw, exact_step):
+        # Only the direction stream of trial seeds[1] (child 1 of its
+        # seed) has both normals of direction draw ``draw`` zeroed.
+        zeroed = []
+
+        def zeroed_rng(seed):
+            hit = (seed.entropy, seed.spawn_key) == (seeds[1], (1,))
+            rng = ZeroedNormals(seed, {2 * draw, 2 * draw + 1} if hit else set())
+            if hit:
+                zeroed.append(rng)
+            return rng
+
+        monkeypatch.setattr(np.random, "default_rng", zeroed_rng)
+        want = [oracle_trial(1, 3, seed, exact_step) for seed in seeds]
+        assert zeroed[0]._pos > 2 * draw  # the oracle walked through the zero draw
+        assert _cell_criticals(1, 3, seeds, epsilon=None, exact_step=exact_step) == want
+        assert len(zeroed) == 2
+
+    def test_chunking_does_not_move_values(self, monkeypatch):
+        trials = qspan.walk._CELL_TRIALS + 5
+        default = critical_step_length(1, 10, trials, 4242)
+        results = []
+        for chunk in (trials, 3, 1):
+            monkeypatch.setattr(qspan.walk, "_CELL_TRIALS", chunk)
+            results.append(critical_step_length(1, 10, trials, 4242))
+        # the trials retire in different 64-probe blocks
+        floor = (HALF_PI - paper_epsilon(1)) / 10
+        probe = np.rint((default.values - floor) / (BRACKET_REL_WIDTH * HALF_PI))
+        assert len(set(probe // 64)) >= 2
+        for res in results:
+            assert np.array_equal(res.values, default.values)
+            assert np.array_equal(res.censored, default.censored)
+
+
+class TestSeedTypes:
+    @pytest.mark.parametrize("seed", [7.5, 7.0, np.float64(7.0), True, np.True_, "7", b"7",
+                                      None, [7, 1.5], [True], [[7, 1]]])
+    def test_non_integer_seeds_are_refused(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            critical_step_length(1, 3, 2, seed)
+
+    def test_integer_seeds_are_accepted(self):
+        want = critical_step_length(1, 3, 2, 7).values
+        for seed in (np.int64(7), np.uint8(7), np.random.SeedSequence(7)):
+            assert np.array_equal(critical_step_length(1, 3, 2, seed).values, want)
+        negative = critical_step_length(1, 3, 2, -1).values
+        assert np.array_equal(critical_step_length(1, 3, 2, 2**64 - 1).values, negative)
+        entropy = critical_step_length(1, 3, 2, [7, 1]).values
+        ss = np.random.SeedSequence([7, 1])
+        assert np.array_equal(critical_step_length(1, 3, 2, ss).values, entropy)
+        assert np.array_equal(critical_step_length(1, 3, 2, np.array([7, 1])).values, entropy)
+
+
 class TestHeuristics:
+    @pytest.mark.parametrize(
+        "call, field",
+        [
+            (lambda: dimension_factor("2"), "qubits"),
+            (lambda: dimension_factor(2.5), "qubits"),
+            (lambda: dimension_factor(True), "qubits"),
+            (lambda: heuristic_critical_step("3", 1), "steps"),
+            (lambda: heuristic_critical_step(3, 1.5), "qubits"),
+            (lambda: heuristic_span(0.1, 2.5, 1), "steps"),
+            (lambda: heuristic_span("0.1", 3, 1), "delta_s"),
+            (lambda: heuristic_span(0.1, 3, True), "qubits"),
+        ],
+    )
+    def test_argument_types(self, call, field):
+        with pytest.raises(ValueError, match=field):
+            call()
+
+    def test_numpy_scalars_are_accepted(self):
+        assert dimension_factor(np.int64(4)) == dimension_factor(4)
+        assert heuristic_span(np.float32(0.5), np.int32(10), np.uint8(2)) == \
+            heuristic_span(0.5, 10, 2)
+        assert heuristic_critical_step(np.int64(10), np.int64(2)) == heuristic_critical_step(10, 2)
+
     def test_dimension_factor(self):
         assert dimension_factor(1) == pytest.approx(10.5)
         assert dimension_factor(4) == pytest.approx(10.5 / 8)
