@@ -15,6 +15,8 @@ import math
 import sys
 from dataclasses import dataclass
 
+from ._checks import real, within
+
 __all__ = [
     "DeviceParams",
     "QuantumnessReport",
@@ -37,7 +39,9 @@ class DeviceParams:
     is how hardware groups usually quote it.  Times are SI seconds.
     ``n_qubits`` may be fractional so the index can be evaluated along
     the qubit-count axis, e.g. at the break-even size returned by
-    :func:`max_qubits`.
+    :func:`max_qubits`.  ``n_qubits`` must be a finite number >= 1 and
+    the other fields finite numbers > 0 (numpy scalars included, stored
+    as plain floats); anything else is a ``ValueError``.
     """
 
     n_qubits: float
@@ -47,12 +51,12 @@ class DeviceParams:
     c_constant: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.n_qubits >= 1:
-            raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
+        n_qubits = real(self.n_qubits, "n_qubits")
+        if not 1.0 <= n_qubits < math.inf:
+            raise ValueError(f"n_qubits: must be a finite number >= 1, got {n_qubits}")
+        object.__setattr__(self, "n_qubits", n_qubits)
         for name in ("j_over_h", "t_decoherence", "t_evolution", "c_constant"):
-            value = getattr(self, name)
-            if not value > 0:
-                raise ValueError(f"{name} must be positive, got {value}")
+            object.__setattr__(self, name, within(getattr(self, name), name))
 
 
 @dataclass(frozen=True)

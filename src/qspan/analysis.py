@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import optimize
 
-from ._checks import count, real
+from ._checks import count, positive, within
 from ._seeds import spawn
 from .hilbert import HALF_PI, _haar_rows
 
@@ -213,14 +213,10 @@ def concentration_bound(dim: int, epsilon: float) -> float:
 
         P(| |<psi|psi'>|^2 - 1/D | >= eps) <= 4 exp[-(D/4) (D eps / (1 + D eps))^2].
 
-    ``dim`` must be an integer and ``epsilon`` a real number (numpy
-    scalars included); anything else is a ``ValueError``.
+    ``dim`` must be an integer >= 1 and ``epsilon`` a finite number > 0
+    (numpy scalars included); anything else is a ``ValueError``.
     """
-    dim, epsilon = count(dim, "dim"), real(epsilon, "epsilon")
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    dim, epsilon = positive(dim, "dim"), within(epsilon, "epsilon")
     u = dim * epsilon
     return float(4.0 * math.exp(-(dim / 4.0) * (u / (1.0 + u)) ** 2))
 
@@ -229,13 +225,10 @@ def overlap_probability_bound(dim: int) -> float:
     """Lower bound on the squared overlap sitting within 1/D of its mean.
 
     The complement of :func:`concentration_bound` at epsilon = 1/D,
-    which simplifies to 1 - 4 exp(-D/16).  ``dim`` must be an integer (a
-    numpy one included); anything else is a ``ValueError``.
+    which simplifies to 1 - 4 exp(-D/16).  ``dim`` must be an integer >= 1
+    (a numpy one included); anything else is a ``ValueError``.
     """
-    dim = count(dim, "dim")
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    return float(1.0 - 4.0 * math.exp(-dim / 16.0))
+    return float(1.0 - 4.0 * math.exp(-positive(dim, "dim") / 16.0))
 
 
 @dataclass(frozen=True)

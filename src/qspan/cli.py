@@ -29,7 +29,7 @@ from dataclasses import MISSING, asdict, dataclass, fields
 import numpy as np
 
 from . import __version__
-from ._checks import count, flag, real
+from ._checks import count, flag, positive, within
 from .accessibility import DeviceParams, assess, max_qubits
 from .analysis import (
     _BATCH as _CONCENTRATION_BATCH,
@@ -136,7 +136,7 @@ def _largest_array_bytes(config: ExperimentConfig) -> int:
 
 def _int_tuple(value, field: str) -> tuple[int, ...]:
     try:
-        items = tuple(count(v, field, UsageError) for v in value)
+        items = tuple(positive(v, field, UsageError) for v in value)
     except TypeError as exc:
         raise UsageError(f"{field}: expected integers, got {value!r}") from exc
     if not items:
@@ -183,23 +183,15 @@ class ExperimentConfig:
             )
         object.__setattr__(self, "qubits", _int_tuple(self.qubits, "qubits"))
         object.__setattr__(self, "steps", _int_tuple(self.steps, "steps"))
-        if any(q < 1 for q in self.qubits):
-            raise UsageError(f"qubits: counts must be >= 1, got {list(self.qubits)}")
-        if any(m < 1 for m in self.steps):
-            raise UsageError(f"steps: counts must be >= 1, got {list(self.steps)}")
         for name in ("trials", "samples", "workers"):
             v = getattr(self, name)
             if v is not None:
-                object.__setattr__(self, name, v := count(v, name, UsageError))
-                if v < 1:
-                    raise UsageError(f"{name}: must be >= 1, got {v}")
+                object.__setattr__(self, name, positive(v, name, UsageError))
         survey = _row_kind(self.kind, self.trials)
         if survey == "percolation-critical" and min(self.steps) < 2:
             raise UsageError(f"steps: percolation clouds need >= 2 points, got {list(self.steps)}")
         if self.epsilon is not None:
-            object.__setattr__(self, "epsilon", real(self.epsilon, "epsilon", UsageError))
-            if not (math.isfinite(self.epsilon) and self.epsilon > 0):
-                raise UsageError(f"epsilon: must be a finite number > 0, got {self.epsilon}")
+            object.__setattr__(self, "epsilon", within(self.epsilon, "epsilon", error=UsageError))
             if survey == "walk-critical" and self.epsilon >= math.pi / 2:
                 raise UsageError(f"epsilon: walk margins must be < pi/2, got {self.epsilon}")
         object.__setattr__(self, "exact_step", flag(self.exact_step, "exact_step", UsageError))
@@ -211,9 +203,7 @@ class ExperimentConfig:
         if self.format not in ("csv", "json"):
             raise UsageError(f"format: expected csv or json, got {self.format!r}")
         for name in ("j_over_h_hz", "t_decoherence_s", "t_evolution_s"):
-            object.__setattr__(self, name, real(getattr(self, name), name, UsageError))
-            if not 0 < getattr(self, name) < math.inf:
-                raise UsageError(f"{name}: must be finite and positive, got {getattr(self, name)}")
+            object.__setattr__(self, name, within(getattr(self, name), name, error=UsageError))
         if self.kind == "accessibility":
             device = DeviceParams(1, self.j_over_h_hz, self.t_decoherence_s, self.t_evolution_s)
             try:

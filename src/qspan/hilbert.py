@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import count
+from ._checks import positive
 
 __all__ = [
     "StateVector",
@@ -102,15 +102,16 @@ class HypersphericalCoords:
     followed by the dim - 1 phases (each in [0, 2 pi)).  Non-canonical
     angle vectors are still meaningful input to
     :func:`state_from_angles`; this type is reserved for the canonical
-    representative produced by :func:`to_coords`.
+    representative produced by :func:`to_coords`.  ``dim`` must be an
+    integer >= 1 (a numpy one included, stored as a plain int); anything
+    else is a ``ValueError``.
     """
 
     theta: np.ndarray
     dim: int
 
     def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
+        object.__setattr__(self, "dim", positive(self.dim, "dim"))
         theta = np.asarray(self.theta, dtype=np.float64)
         n = self.dim - 1
         if theta.shape != (2 * n,):
@@ -235,13 +236,10 @@ def random_state(dim: int, rng: np.random.Generator) -> StateVector:
     the result uniform on the unit sphere of C^dim; in particular the
     squared overlap of two independent draws has mean 1/dim.  Clouds of
     states (:func:`qspan.percolation.random_cloud`) come from the same
-    sampler, one row per state.  ``dim`` must be an integer (a numpy one
-    included); anything else is a ``ValueError``.
+    sampler, one row per state.  ``dim`` must be an integer >= 1 (a numpy
+    one included); anything else is a ``ValueError``.
     """
-    dim = count(dim, "dim")
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    return StateVector(_haar_rows(dim, 1, rng)[0])
+    return StateVector(_haar_rows(positive(dim, "dim"), 1, rng)[0])
 
 
 def fs_distance(psi: StateVector, phi: StateVector) -> float:

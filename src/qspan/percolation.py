@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._checks import count
+from ._checks import count, positive, real
 from ._seeds import as_seedseq, spawn
 from .hilbert import HALF_PI, StateVector, _haar_rows
 
@@ -138,12 +138,12 @@ def random_cloud(dim: int, n_points: int, rng: np.random.Generator) -> list[Stat
     One block draw through the sampler behind
     :func:`qspan.hilbert.random_state`: the states equal, bit for bit,
     those of ``n_points`` sequential ``random_state`` calls on ``rng``.
-    Counts must be integers (numpy ones included); anything else is a
-    ``ValueError``.
+    ``dim`` must be an integer >= 1 and ``n_points`` one >= 0 (numpy
+    ones included); anything else is a ``ValueError``.
     """
-    dim, n_points = count(dim, "dim"), count(n_points, "n_points")
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
+    dim, n_points = positive(dim, "dim"), count(n_points, "n_points")
+    if n_points < 0:
+        raise ValueError(f"n_points: must be >= 0, got {n_points}")
     return [StateVector(row) for row in _haar_rows(dim, n_points, rng)]
 
 
@@ -179,9 +179,14 @@ class ClusterSet:
 
 
 def build_clusters(dist: DistanceMatrix, threshold: float) -> ClusterSet:
-    """Join all pairs with distance <= threshold (inclusive)."""
-    if threshold < 0.0:
-        raise ValueError(f"threshold must be >= 0, got {threshold}")
+    """Join all pairs with distance <= threshold (inclusive).
+
+    ``threshold`` must be a number >= 0 (a numpy one included); anything
+    else is a ``ValueError``.
+    """
+    threshold = real(threshold, "threshold")
+    if not threshold >= 0.0:
+        raise ValueError(f"threshold: must be >= 0, got {threshold}")
     m = dist.n_points
     d = dist.values
     uf = UnionFind(m)
@@ -270,12 +275,11 @@ def _threshold(d: np.ndarray) -> Optional[float]:
 def critical_threshold_sample(qubits: int, n_points: int, sample_seed) -> Optional[float]:
     """Critical threshold of one freshly drawn cloud (None if it has none).
 
-    Counts must be integers (numpy ones included); anything else is a
-    ``ValueError``.
+    Counts must be integers, ``qubits`` >= 1 and ``n_points`` >= 2 (numpy
+    ones included); anything else is a ``ValueError``, too few points an
+    :class:`InsufficientPointsError`.
     """
-    qubits, n_points = count(qubits, "qubits"), count(n_points, "n_points")
-    if qubits < 1:
-        raise ValueError(f"qubits must be >= 1, got {qubits}")
+    qubits, n_points = positive(qubits, "qubits"), count(n_points, "n_points")
     _check_points(n_points)
     rng = np.random.default_rng(as_seedseq(sample_seed))
     return _threshold(_distances(_haar_rows(2**qubits, n_points, rng)))
@@ -317,8 +321,7 @@ def critical_threshold_experiment(
     a threshold.  Counts are checked as by
     :func:`critical_threshold_sample`.
     """
-    if count(samples, "samples") < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    samples = positive(samples, "samples")
     raw = [
         critical_threshold_sample(qubits, n_points, ss)
         for ss in spawn(seed, samples)

@@ -52,13 +52,13 @@ records.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.optimize.elementwise import find_root
 
-from ._checks import count, flag, real
+from ._checks import flag, positive, within
 from ._seeds import spawn
 from .hilbert import HALF_PI, StateVector, fs_distance, random_state
 from .hilbert import _amplitudes, _chart, _dots, _fs_distances, _sine_prefix, _sq_norms
@@ -130,12 +130,10 @@ def paper_epsilon(qubits: int) -> float:
     Two independent Haar states of dimension D have root-mean-square
     overlap 1/sqrt(D), i.e. typical separation arccos(1/sqrt(D)); the
     margin is the gap between that and the maximum pi/2.  ``qubits``
-    must be an integer (a numpy one included); anything else is a
+    must be an integer >= 1 (a numpy one included); anything else is a
     ``ValueError``.
     """
-    qubits = count(qubits, "qubits")
-    if qubits < 1:
-        raise ValueError(f"qubits must be >= 1, got {qubits}")
+    qubits = positive(qubits, "qubits")
     return float(HALF_PI - np.arccos(2.0 ** (-qubits / 2.0)))
 
 
@@ -147,10 +145,10 @@ class WalkConfig:
     qubit count; an explicit margin must lie in (0, pi/2].  With
     ``exact_step`` the raw tangent displacement is rescaled by a root
     find so each realized step distance equals delta_s to relative 1e-6,
-    instead of only to first order.  Counts must be integers, the
-    stride and margin real numbers and ``exact_step`` a bool (numpy
-    scalars included, stored as plain Python ones); anything else is a
-    ``ValueError``.
+    instead of only to first order.  Counts must be integers >= 1, the
+    stride and margin finite numbers in (0, pi/2] and ``exact_step`` a
+    bool (numpy scalars included, stored as plain Python ones); anything
+    else is a ``ValueError``.
     """
 
     qubits: int
@@ -161,21 +159,13 @@ class WalkConfig:
 
     def __post_init__(self) -> None:
         for name in ("qubits", "steps"):
-            object.__setattr__(self, name, count(getattr(self, name), name))
-        object.__setattr__(self, "delta_s", real(self.delta_s, "delta_s"))
-        if self.epsilon is not None:
-            object.__setattr__(self, "epsilon", real(self.epsilon, "epsilon"))
-        object.__setattr__(self, "exact_step", flag(self.exact_step, "exact_step"))
-        if self.qubits < 1:
-            raise ValueError(f"qubits must be >= 1, got {self.qubits}")
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if not 0.0 < self.delta_s <= HALF_PI:
-            raise ValueError(f"delta_s must lie in (0, pi/2], got {self.delta_s}")
+            object.__setattr__(self, name, positive(getattr(self, name), name))
+        object.__setattr__(self, "delta_s", within(self.delta_s, "delta_s", HALF_PI))
         if self.epsilon is None:
             object.__setattr__(self, "epsilon", paper_epsilon(self.qubits))
-        elif not 0.0 < self.epsilon <= HALF_PI:
-            raise ValueError(f"epsilon must lie in (0, pi/2], got {self.epsilon}")
+        else:
+            object.__setattr__(self, "epsilon", within(self.epsilon, "epsilon", HALF_PI))
+        object.__setattr__(self, "exact_step", flag(self.exact_step, "exact_step"))
 
     @property
     def dim(self) -> int:
@@ -355,9 +345,10 @@ def _moduli(theta):
     With prefix_k the product of sin(theta_l) over l < k, m_k =
     |prefix_k cos(theta_k)| (m_D = |prefix_D|) and, for each of the D - 1
     magnitude angles, |t_k| = |prefix_k|: the values the chart of the
-    walkers' amplitudes gives, whatever ranges the angles are in.  The chart folds each magnitude angle into [0, pi/2]: theta_k + pi
-    and -theta_k give the same ray, so the folded angle moves with
-    theta_k where sin(theta_k) cos(theta_k) > 0 and against it where it is
+    walkers' amplitudes gives, whatever ranges the angles are in.  The
+    chart folds each magnitude angle into [0, pi/2]: theta_k + pi and
+    -theta_k give the same ray, so the folded angle moves with theta_k
+    where sin(theta_k) cos(theta_k) > 0 and against it where it is
     negative.  t_k carries that sign, and :func:`_tangent` mirrors the
     displacement of an angle with a negative t_k, so the walker steps as
     its folded twin in the chart does: the walk is the chart's walk up to
@@ -377,14 +368,13 @@ def _moduli(theta):
 def _lockstep(theta, strides, normals, exact_step):
     """Chart angles of walks from ``theta``, one per stride, after their steps.
 
-    ``theta`` is one start point for every walker, or a (K, p) array of
-    one per walker.  ``normals`` is a (K, steps, p) block of standard
-    normals, row k's step t drawn from ``normals[k, t]``.  Each step adds
+    ``theta`` holds the (K, p) start angles, one row per walker, and
+    ``normals`` is a (K, steps, p) block of standard normals, row k's
+    step t drawn from ``normals[k, t]``.  Each step adds
     the tangent displacement at the walkers' moduli to their angles; with
     ``exact_step`` every step of the batch goes through one
     :func:`_exact_stride` call, from the amplitudes at the current angles.
     """
-    theta = np.broadcast_to(theta, (strides.size, theta.shape[-1]))
     for t in range(normals.shape[1]):
         m, tail = _moduli(theta)
         d_theta = _tangent(m, tail, strides, normals[:, t])
@@ -403,17 +393,15 @@ def _probe_batch(a, theta, strides, rngs, steps, exact_step):
     as a (K, steps, p) block, the same variates K * steps sequential
     draws of p give, so each probe walks the steps :func:`run_walk`
     would walk from the same generator.  The starts' probes are stacked
-    in start order into one lockstep batch; a lone start broadcasts over
-    its probes and its normals go in as drawn, with no repeat or copy.
+    in start order into one lockstep batch, each start's blocks drawn
+    straight into its slice of the batch's normals.
     """
     k = strides.size
-    if len(rngs) == 1:
-        normals = rngs[0].standard_normal((k, steps, theta.shape[1]))
-    else:
-        normals = np.concatenate([rng.standard_normal((k, steps, theta.shape[1])) for rng in rngs])
-        a, theta = np.repeat(a, k, axis=0), np.repeat(theta, k, axis=0)
-        strides = np.tile(strides, len(rngs))
-    theta = _lockstep(theta, strides, normals, exact_step)
+    normals = np.empty((len(rngs) * k, steps, theta.shape[1]))
+    for i, rng in enumerate(rngs):
+        rng.standard_normal(out=normals[i * k:(i + 1) * k])
+    a, theta = np.repeat(a, k, axis=0), np.repeat(theta, k, axis=0)
+    theta = _lockstep(theta, np.tile(strides, len(rngs)), normals, exact_step)
     return _fs_distances(a, _amplitudes(theta)).reshape(len(rngs), k)
 
 
@@ -482,8 +470,9 @@ def _cell_criticals(qubits, steps, trial_seeds, *, epsilon, exact_step) -> list:
     config = WalkConfig(
         qubits=qubits, steps=steps, delta_s=HALF_PI, epsilon=epsilon, exact_step=exact_step
     )
-    floor = (HALF_PI - config.epsilon) / config.steps
-    replace(config, delta_s=floor)  # the floor stride must be a valid stride
+    floor = within(
+        (HALF_PI - config.epsilon) / config.steps, "floor stride (pi/2 - epsilon) / steps", HALF_PI
+    )
     grid = BRACKET_REL_WIDTH * HALF_PI
     strides = []
     s = floor
@@ -564,8 +553,7 @@ def critical_step_length(
     value its lone :func:`critical_step_for_trial` scan gives, bit for
     bit, however the trials are chunked.
     """
-    if count(trials, "trials") < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    trials = positive(trials, "trials")
     seeds = spawn(seed, trials)
     outcomes = [
         t
@@ -590,13 +578,10 @@ def critical_step_length(
 def dimension_factor(qubits: int) -> float:
     """Empirical reachable-fraction factor f = 10.5 * qubits**-1.5.
 
-    ``qubits`` must be an integer (a numpy one included); anything else
-    is a ``ValueError``.
+    ``qubits`` must be an integer >= 1 (a numpy one included); anything
+    else is a ``ValueError``.
     """
-    qubits = count(qubits, "qubits")
-    if qubits < 1:
-        raise ValueError(f"qubits must be >= 1, got {qubits}")
-    return 10.5 * qubits**-1.5
+    return 10.5 * positive(qubits, "qubits") ** -1.5
 
 
 def heuristic_span(delta_s: float, steps: int, qubits: int) -> float:
@@ -604,12 +589,11 @@ def heuristic_span(delta_s: float, steps: int, qubits: int) -> float:
 
     Normalized so that a span of 1 means the far edge pi/2; the factor
     f(qubits) shrinks the effective reachable volume as the register
-    grows.  Counts must be integers and ``delta_s`` a real number
-    (numpy scalars included); anything else is a ``ValueError``.
+    grows.  Counts must be integers >= 1 and ``delta_s`` a finite
+    number > 0 (numpy scalars included); anything else is a
+    ``ValueError``.
     """
-    delta_s, steps = real(delta_s, "delta_s"), count(steps, "steps")
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+    delta_s, steps = within(delta_s, "delta_s"), positive(steps, "steps")
     return (2.0 / np.pi) * delta_s * math.sqrt(steps * dimension_factor(qubits))
 
 
@@ -617,12 +601,9 @@ def heuristic_critical_step(steps: int, qubits: int) -> float:
     """Stride at which the heuristic span reaches the far edge.
 
     Inverts heuristic_span(...) == 1: delta_s = (pi/2) / sqrt(steps * f).
-    Counts must be integers; anything else is a ``ValueError``.
+    Counts must be integers >= 1; anything else is a ``ValueError``.
     """
-    steps = count(steps, "steps")
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    return HALF_PI / math.sqrt(steps * dimension_factor(qubits))
+    return HALF_PI / math.sqrt(positive(steps, "steps") * dimension_factor(qubits))
 
 
 @dataclass(frozen=True, eq=False)
@@ -633,14 +614,15 @@ class UnitaryProbe:
     Fubini-Study distance travelled from a state psi approaches
     dt * sigma, where sigma is the dispersion of the summed generator in
     psi; :func:`unitary_span` returns both sides of that comparison.
+    ``dt`` must be a finite number > 0 (a numpy scalar included, stored
+    as a plain float); anything else is a ``ValueError``.
     """
 
     hamiltonians: tuple
     dt: float
 
     def __post_init__(self) -> None:
-        if self.dt <= 0.0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
+        object.__setattr__(self, "dt", within(self.dt, "dt"))
         hams = tuple(np.asarray(h, dtype=np.complex128) for h in self.hamiltonians)
         if not hams:
             raise ValueError("at least one Hamiltonian is required")

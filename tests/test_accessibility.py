@@ -153,6 +153,12 @@ class TestValidation:
             DeviceParams(100, 5e9, 1e-8, 0.0)
         with pytest.raises(ValueError):
             DeviceParams(100, 5e9, 1e-8, 5e-6, c_constant=0.0)
+        with pytest.raises(ValueError, match="n_qubits"):
+            DeviceParams("a", 1, 1, 1)
+        with pytest.raises(ValueError, match="n_qubits"):
+            DeviceParams(math.inf, 5e9, 1e-8, 5e-6)
+        with pytest.raises(ValueError, match="t_evolution"):
+            assess(DeviceParams(2, 1e9, 1e-8, math.inf))
 
     def test_fractional_qubit_count_allowed(self):
         params = DeviceParams(1.5, 5e9, 1e-8, 5e-6)

@@ -199,7 +199,8 @@ class TestConcentrationBound:
     @pytest.mark.parametrize(
         "dim, epsilon, field",
         [("4", 0.1, "dim"), (4.5, 0.1, "dim"), (True, 0.1, "dim"), (None, 0.1, "dim"),
-         (4, "0.1", "epsilon"), (4, True, "epsilon"), (4, None, "epsilon")],
+         (4, "0.1", "epsilon"), (4, True, "epsilon"), (4, None, "epsilon"),
+         (4, math.nan, "epsilon"), (4, math.inf, "epsilon")],
     )
     def test_concentration_bound_argument_types(self, dim, epsilon, field):
         with pytest.raises(ValueError, match=field):
@@ -287,6 +288,11 @@ class TestEmpiricalConcentration:
     def test_non_integer_counts_rejected(self, dim, samples, field):
         with pytest.raises(ValueError, match=field):
             empirical_concentration(dim, 0.1, samples, 0)
+
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+    def test_non_finite_epsilon_rejected(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon"):
+            empirical_concentration(4, epsilon, 1000, 0)
 
     def test_numpy_integer_counts_accepted(self):
         got = empirical_concentration(np.int64(4), 0.1, np.int32(1000), 0)

@@ -274,6 +274,8 @@ class TestCoordinates:
     def test_angle_vector_length_checked(self):
         with pytest.raises(ValueError):
             HypersphericalCoords(np.zeros(3), 2)
+        with pytest.raises(ValueError, match="dim"):
+            HypersphericalCoords(np.zeros(2), 2.0)
 
 
 class TestMetricTensor:

@@ -117,6 +117,12 @@ class TestBuildClusters:
         assert clusters.n_clusters == 6
         assert all(span == 0.0 for span in clusters.max_span.values())
 
+    @pytest.mark.parametrize("threshold", [-0.1, float("nan"), "0.1", None])
+    def test_refuses_bad_thresholds(self, threshold):
+        dist = random_matrix(3, np.random.default_rng(5))
+        with pytest.raises(ValueError, match="threshold"):
+            build_clusters(dist, threshold)
+
     def test_full_threshold_gives_one_cluster(self):
         dist = random_matrix(6, np.random.default_rng(6))
         clusters = build_clusters(dist, HALF_PI)
@@ -262,6 +268,7 @@ class TestSamplerOracle:
         (random_cloud, (2, "3", np.random.default_rng(0)), "n_points"),
         (critical_threshold_experiment, (1, 5, 2.5, 0), "samples"),
         (critical_threshold_experiment, (1, 5, True, 0), "samples"),
+        (random_cloud, (2, -1, np.random.default_rng(0)), "n_points"),
     ],
 )
 def test_sampling_entry_points_refuse_non_integer_counts(sampler, args, field):

@@ -293,7 +293,7 @@ class TestTangentSampler:
         normals = np.random.default_rng(13).standard_normal((1, 2, 6))
         normals[:, 0] = 0.0
         stride = np.array([0.3])
-        after = _lockstep(theta[0], stride, normals, exact_step)
+        after = _lockstep(theta, stride, normals, exact_step)
         moved = after - theta
         want = _tangent(m, tail, stride, normals[:, 1])
         if exact_step:
@@ -346,7 +346,8 @@ class TestAngleWalker:
         a = random_state(2**qubits, rng).amplitudes
         strides = np.linspace(0.01, 0.2, 8)
         normals = rng.standard_normal((strides.size, steps, 2 * (a.size - 1)))
-        theta = _lockstep(_chart(a[None])[0][0], strides, normals, exact_step)
+        start = np.repeat(_chart(a[None])[0], strides.size, axis=0)
+        theta = _lockstep(start, strides, normals, exact_step)
         want = _fs_distances(a, round_trip_walk(a, strides, normals, exact_step))
         np.testing.assert_allclose(_fs_distances(a, _amplitudes(theta)), want, rtol=0.0, atol=1e-9)
 
@@ -488,9 +489,9 @@ class ZeroedNormals:
         self._zeros = zeros
         self._pos = 0
 
-    def standard_normal(self, size):
-        x = self._gen.standard_normal(size)
-        flat = x.reshape(-1)
+    def standard_normal(self, size=None, out=None):
+        x = self._gen.standard_normal(size, out=out)
+        flat = x.reshape(-1)  # a view: the draws are contiguous
         for i in self._zeros:
             if 0 <= i - self._pos < flat.size:
                 flat[i - self._pos] = 0.0
@@ -662,6 +663,10 @@ class TestHeuristics:
             (lambda: heuristic_span(0.1, 2.5, 1), "steps"),
             (lambda: heuristic_span("0.1", 3, 1), "delta_s"),
             (lambda: heuristic_span(0.1, 3, True), "qubits"),
+            pytest.param(lambda: heuristic_span(-0.5, 3, 1), "delta_s", id="negative-delta_s"),
+            pytest.param(lambda: UnitaryProbe((np.eye(2),), "x"), "dt", id="string-dt"),
+            pytest.param(lambda: UnitaryProbe((np.eye(2),), math.nan), "dt", id="nan-dt"),
+            pytest.param(lambda: UnitaryProbe((np.eye(2),), math.inf), "dt", id="inf-dt"),
         ],
     )
     def test_argument_types(self, call, field):
