@@ -10,8 +10,9 @@ keyed by (master seed, experiment kind, qubit count, step count, trial
 index), so results are identical however trials are scheduled across
 workers.  Outputs embed the full configuration and seed; rereading an
 emitted file with :func:`read_result` reproduces the result set exactly,
-value for value.  Floating-point values are printed with 17 significant
-digits, which round-trips float64.
+value for value.  File format 2 (``format_version`` in the metadata)
+prints floats as their shortest round-trip text; format 1 printed 17
+significant digits.
 """
 
 from __future__ import annotations
@@ -76,6 +77,9 @@ _KIND_CODES = {
 #: Walk-stride fits drop step counts below this (the shortest walks sit
 #: visibly off the power law).
 _WALK_FIT_MIN_STEPS = 3
+
+#: Version of the result file text; files without the key are format 1.
+FORMAT_VERSION = 2
 
 
 class UsageError(ValueError):
@@ -200,6 +204,8 @@ class ExperimentConfig:
             raise UsageError(f"seed: must fit in 64 bits, got {self.seed}")
         if self.out is not None and not isinstance(self.out, str):
             raise UsageError(f"out: expected a file path, got {self.out!r}")
+        if self.out is not None and not os.path.isdir(os.path.dirname(self.out) or "."):
+            raise UsageError(f"out: {os.path.dirname(self.out)!r} is not a directory")
         if self.format not in ("csv", "json"):
             raise UsageError(f"format: expected csv or json, got {self.format!r}")
         for name in ("j_over_h_hz", "t_decoherence_s", "t_evolution_s"):
@@ -242,11 +248,11 @@ class ExperimentConfig:
 class ResultSet:
     """Rows plus the metadata needed to regenerate them.
 
-    ``metadata`` carries the experiment kind, artifact version, master
-    seed, wall-clock seconds, and a full echo of the configuration; walk
-    rows also record the ``walk_stream`` version their walks ran on, one
-    number for default and exact-step walks (``config.exact_step`` tells
-    the two apart).
+    ``metadata`` carries the experiment kind, artifact version, file
+    format version, master seed, wall-clock seconds, and a full echo of
+    the configuration; walk rows also record the ``walk_stream`` version
+    their walks ran on, one number for default and exact-step walks
+    (``config.exact_step`` tells the two apart).
     ``rows`` are plain dicts with an experiment-specific fixed key
     order; ``fits`` are summary dicts, empty unless a fit was requested.
     """
@@ -257,9 +263,7 @@ class ResultSet:
 
 
 def _finite_or_none(v):
-    if isinstance(v, float) and not math.isfinite(v):
-        return None
-    return v
+    return None if isinstance(v, float) and not math.isfinite(v) else v
 
 
 def _map_tasks(fn, tasks: list, workers: int) -> list:
@@ -446,6 +450,7 @@ def run_experiment(config: ExperimentConfig) -> ResultSet:
     metadata = {
         "kind": config.kind,
         "artifact_version": __version__,
+        "format_version": FORMAT_VERSION,
         "seed": config.seed,
         "wall_clock_s": time.perf_counter() - start,
         "config": config.as_dict(),
@@ -506,67 +511,34 @@ _COLUMNS = {
 
 def _row_columns(metadata: dict) -> tuple:
     """The (name, type) columns of the rows of a result with ``metadata``."""
-    return _COLUMNS[_row_kind(metadata["kind"], metadata["config"]["trials"])]
-
-
-def _json_text(obj) -> str:
-    """Compact JSON with floats at 17 significant digits, always read back as floats."""
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return repr(obj)
-    if isinstance(obj, float):
-        if not math.isfinite(obj):
-            return "null"
-        text = format(obj, ".17g")
-        # an integral float needs a marker to be read back as a float
-        return text if "." in text or "e" in text else text + ".0"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, dict):
-        return "{" + ", ".join(
-            f"{json.dumps(str(k))}: {_json_text(v)}" for k, v in obj.items()
-        ) + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_json_text(v) for v in obj) + "]"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    kind = _row_kind(metadata["kind"], metadata["config"]["trials"])
+    if kind not in _COLUMNS:
+        raise ValueError(f"kind: unknown experiment {kind!r}")
+    return _COLUMNS[kind]
 
 
 def _csv_cell(value) -> str:
+    """Empty for None, true/false for a bool, else the shortest text that reads back."""
     if value is None:
         return ""
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    # float's own repr, also for numpy floats, whose repr names their type
+    return float.__repr__(value) if isinstance(value, float) else str(value)
 
 
 def render(result: ResultSet, format: str) -> str:
-    """Serialize a result set to CSV or JSON text."""
+    """Serialize a result set to CSV or JSON text (file format 2)."""
     if format == "json":
-        return _json_text(
-            {
-                "metadata": result.metadata,
-                "fits": list(result.fits),
-                "rows": list(result.rows),
-            }
-        ) + "\n"
+        doc = {"metadata": result.metadata, "fits": list(result.fits), "rows": list(result.rows)}
+        return json.dumps(doc, allow_nan=False) + "\n"
     if format != "csv":
         raise UsageError(f"format: expected csv or json, got {format!r}")
     columns = [name for name, _ in _row_columns(result.metadata)]
-    lines = ["# qspan-result " + _json_text(result.metadata)]
-    for fit in result.fits:
-        lines.append("# fit " + _json_text(fit))
+    lines = ["# qspan-result " + json.dumps(result.metadata, allow_nan=False)]
+    lines += ["# fit " + json.dumps(fit, allow_nan=False) for fit in result.fits]
     lines.append(",".join(columns))
-    for row in result.rows:
-        lines.append(",".join(_csv_cell(row[c]) for c in columns))
+    lines += [",".join([_csv_cell(row[c]) for c in columns]) for row in result.rows]
     return "\n".join(lines) + "\n"
 
 
@@ -584,55 +556,54 @@ def emit(result: ResultSet, format: str, path: str) -> str:
 def _typed_cell(column: str, kind: type, cell: str):
     if cell == "":
         return None
-    if kind is bool:
-        if cell not in ("true", "false"):
-            raise ValueError(f"column {column}: expected true/false, got {cell!r}")
-        return cell == "true"
-    return kind(cell)
+    if kind is bool and cell not in ("true", "false"):
+        raise ValueError(f"column {column}: expected true/false, got {cell!r}")
+    return cell == "true" if kind is bool else kind(cell)
 
 
 def read_result(path: str) -> ResultSet:
-    """Parse a file written by :func:`emit` back into an equal ResultSet."""
+    """Parse a file written by :func:`emit`, in any format, back into an equal ResultSet.
+
+    A file that is not a result file raises ValueError naming ``path``.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
+        if text.lstrip().startswith("{"):
+            doc = json.loads(text)
+            _row_columns(doc["metadata"])
+            return ResultSet(doc["metadata"], tuple(doc["rows"]), tuple(doc["fits"]))
+        metadata = header = None
+        fits, cells = [], []
+        for line in text.splitlines():
+            if line.startswith("# qspan-result "):
+                metadata = json.loads(line[len("# qspan-result "):])
+            elif line.startswith("# fit "):
+                fits.append(json.loads(line[len("# fit "):]))
+            elif line.startswith("#") or not line.strip():
+                continue
+            elif header is None:
+                header = line.split(",")
+            else:
+                cells.append(line.split(","))
+                if len(cells[-1]) != len(header):
+                    raise ValueError(f"row width {len(cells[-1])} != header {len(header)}")
+        if metadata is None or header is None:
+            raise ValueError("not a result file (missing metadata or header)")
+        columns = _row_columns(metadata)
+        if header != [name for name, _ in columns]:
+            raise ValueError(f"header {','.join(header)!r} is not the {metadata['kind']} columns")
+        rows = [
+            {name: _typed_cell(name, kind, cell) for (name, kind), cell in zip(columns, row)}
+            for row in cells
+        ]
+        return ResultSet(metadata, tuple(rows), tuple(fits))
     except OSError as exc:
         raise FileError(path, str(exc)) from exc
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        doc = json.loads(text)
-        return ResultSet(
-            metadata=doc["metadata"],
-            rows=tuple(doc["rows"]),
-            fits=tuple(doc["fits"]),
-        )
-    metadata = None
-    fits = []
-    header = None
-    cells = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        if line.startswith("# qspan-result "):
-            metadata = json.loads(line[len("# qspan-result "):])
-        elif line.startswith("# fit "):
-            fits.append(json.loads(line[len("# fit "):]))
-        elif line.startswith("#"):
-            continue
-        elif header is None:
-            header = line.split(",")
-        else:
-            cells.append(line.split(","))
-            if len(cells[-1]) != len(header):
-                raise ValueError(f"{path}: row width {len(cells[-1])} != header {len(header)}")
-    if metadata is None or header is None:
-        raise ValueError(f"{path}: not a result file (missing metadata or header)")
-    types = dict(_row_columns(metadata))
-    rows = [
-        {c: _typed_cell(c, types.get(c, str), v) for c, v in zip(header, row)}
-        for row in cells
-    ]
-    return ResultSet(metadata=metadata, rows=tuple(rows), fits=tuple(fits))
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 # --- command line ----------------------------------------------------------
@@ -774,8 +745,8 @@ def main(argv=None) -> int:
 
     Exit codes: 0 on success, 2 for configuration problems, all found
     before anything is drawn (among them percolation clouds of fewer than
-    two points and arrays larger than physical memory), 1 for runtime
-    failures.
+    two points, arrays larger than physical memory and a missing output
+    directory), 1 for runtime failures.
     """
     args = _build_parser().parse_args(argv)
     try:

@@ -299,10 +299,152 @@ class TestSerialization:
         assert read_result(path).rows == ()
 
     def test_seventeen_digit_floats(self):
+        # format 2 prints the shortest text that reads back, where
+        # format 1 printed 17 significant digits (141.42135623730951)
         res = run_experiment(ExperimentConfig(kind="accessibility", qubits=(100,)))
         text = render(res, "csv")
-        assert "141.42135623730951" in text
-        assert "73680.629972807699" in text
+        assert ",141.4213562373095," in text
+        assert ",73680.6299728077\n" in text
+        assert res.metadata["format_version"] == cli.FORMAT_VERSION == 2
+
+    def test_format_one_reads_back(self, tmp_path):
+        # a format-1 file: no format_version, floats at 17 significant
+        # digits in the header, the fit lines and the cells
+        path = tmp_path / "format1.csv"
+        path.write_text(FORMAT_ONE, encoding="utf-8")
+        res = read_result(str(path))
+        assert "format_version" not in res.metadata
+        config = res.metadata["config"]
+        assert type(config["epsilon"]) is float and config["epsilon"] == 0.1
+        assert type(config["j_over_h_hz"]) is float and config["j_over_h_hz"] == 5e9
+        assert res.fits[0]["exponent"].hex() == float("-0.49873112408813421").hex()
+        assert [type(v) for v in res.rows[0].values()] == [int, int, int, float, bool]
+        assert res.rows[0]["critical_delta_s"].hex() == float("0.29321531433504761").hex()
+        assert res.rows[1]["critical_delta_s"] is None
+        # rewritten in format 2, every value reads back bit for bit
+        again = str(tmp_path / "format2.csv")
+        emit(res, "csv", again)
+        assert "0.2932153143350476," in render(res, "csv")
+        assert _bits(read_result(again)) == _bits(res)
+
+
+#: A short format-1 fit file: 17-digit floats, no format_version.
+FORMAT_ONE = (
+    '# qspan-result {"kind": "fit", "artifact_version": "0.1.0", "seed": 0, '
+    '"wall_clock_s": 0.12345678901234568, "config": {"kind": "fit", "qubits": [1], '
+    '"steps": [3, 10], "trials": 2, "samples": null, "epsilon": 0.10000000000000001, '
+    '"exact_step": false, "seed": 0, "workers": 1, "out": null, "format": "csv", '
+    '"j_over_h_hz": 5000000000.0, "t_decoherence_s": 1e-08, '
+    '"t_evolution_s": 5.0000000000000004e-06}, "walk_stream": 5, '
+    '"fit_weighting": "unweighted"}\n'
+    '# fit {"fit": "stride-power-law", "qubits": 1, "amplitude": 0.49720375474655701, '
+    '"exponent": -0.49873112408813421, "amplitude_stderr": null, '
+    '"exponent_stderr": null, "rss": 0.0, "n_points": 2}\n'
+    "qubits,steps,trial,critical_delta_s,censored\n"
+    "1,3,0,0.29321531433504761,false\n"
+    "1,3,1,,true\n"
+)
+
+
+def _bits(res: ResultSet):
+    """Metadata, fits and rows with each float as its hex text and each leaf typed."""
+    def leaf(v):
+        if isinstance(v, dict):
+            return {k: leaf(x) for k, x in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [leaf(x) for x in v]
+        return (type(v), v.hex() if isinstance(v, float) else v)
+
+    return leaf([res.metadata, res.fits, res.rows])
+
+
+#: Finite floats, with the edges named: subnormals, a signed zero, the
+#: largest magnitudes and integral values that need a marker to stay floats.
+_FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([5e-324, -5e-324, 2.2250738585072014e-308, -0.0, 0.0, 1e308,
+                     sys.float_info.max, 5e9, -5e9, 1e16, 1.0, 0.1]),
+)
+
+
+class TestFormatTwo:
+    @pytest.fixture(scope="class")
+    def base(self):
+        return run_experiment(ExperimentConfig(kind="accessibility", qubits=(10,)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        floats=st.lists(_FINITE, min_size=5, max_size=5),
+        qubits=st.integers(-(2**70), 2**70),
+        passes=st.sampled_from([True, False, None]),
+    )
+    def test_finite_floats_round_trip_bit_for_bit(self, base, tmp_path_factory, floats,
+                                                  qubits, passes):
+        row = dict(zip(base.rows[0], [qubits, *floats[:4], passes, floats[4]]))
+        fit = {"fit": "stride-power-law", "amplitude": floats[0], "rss": floats[1]}
+        res = ResultSet(metadata=base.metadata, rows=(row,), fits=(fit,))
+        folder = tmp_path_factory.mktemp("round-trip")
+        for fmt in ("csv", "json"):
+            path = str(folder / f"r.{fmt}")
+            emit(res, fmt, path)
+            assert _bits(read_result(path)) == _bits(res)
+
+    def test_numpy_scalars_write_plain_csv_cells(self, base, tmp_path):
+        row = {**base.rows[0], "qubits": np.int64(3), "index": np.float64(0.1)}
+        path = str(tmp_path / "numpy.csv")
+        emit(ResultSet(metadata=base.metadata, rows=(row,)), "csv", path)
+        back = read_result(path).rows[0]
+        assert (back["qubits"], back["index"]) == (3, 0.1)
+        assert type(back["qubits"]) is int and type(back["index"]) is float
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_json_text_refuses_non_finite_floats(self, base, value):
+        row = {**base.rows[0], "index": value}
+        with pytest.raises(ValueError, match="JSON compliant"):
+            render(ResultSet(metadata=base.metadata, rows=(row,)), "json")
+        fit = {"fit": "stride-power-law", "rss": value}
+        with pytest.raises(ValueError, match="JSON compliant"):
+            render(ResultSet(metadata=base.metadata, rows=(), fits=(fit,)), "csv")
+
+    def test_csv_cells_keep_non_finite_floats(self, base, tmp_path):
+        row = {**base.rows[0], "t_d_s": math.inf, "index": math.nan, "n_max": -math.inf}
+        path = str(tmp_path / "inf.csv")
+        emit(ResultSet(metadata=base.metadata, rows=(row,)), "csv", path)
+        assert ",inf,5e-06,nan,true,-inf" in open(path, encoding="utf-8").read()
+        back = read_result(path).rows[0]
+        assert back["t_d_s"] == math.inf and back["n_max"] == -math.inf
+        assert math.isnan(back["index"])
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ('# qspan-result {"config": {"trials": null}}\nqubits\n', "missing key 'kind'"),
+            ('# qspan-result {"kind": "banana", "config": {"trials": null}}\nqubits\n',
+             "unknown experiment 'banana'"),
+            ("# qspan-result 3\nqubits\n", "not subscriptable"),
+            ('{"metadata": {"kind": "accessibility", "config": {"trials": null}}, "fits": []}',
+             "missing key 'rows'"),
+            ('{"metadata": ', "Expecting value"),
+            (b"\xff\xfe# qspan-result", "can't decode byte 0xff"),
+            ("qubits\n1\n", "missing metadata or header"),
+            (FORMAT_ONE.replace("censored", "censured"), "is not the fit columns"),
+            (FORMAT_ONE.replace(",false", ",no"), "expected true/false"),
+            (FORMAT_ONE.replace(",false", ",false,0"), "row width 6 != header 5"),
+            (FORMAT_ONE.replace("0.29321531433504761", "abc"), "to float: 'abc'"),
+        ],
+    )
+    def test_value_error_names_the_file(self, tmp_path, text, reason):
+        path = tmp_path / "bad.csv"
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            read_result(str(path))
+        assert str(info.value).startswith(f"{path}: ")
+        assert reason in str(info.value)
 
 
 class TestFloatEcho:
@@ -349,7 +491,7 @@ class TestMain:
         assert main(["--experiment", "accessibility", "--qubits", "100"]) == 0
         out = capsys.readouterr().out
         assert out.splitlines()[1] == "qubits,j_over_h_hz,t_d_s,t_f_s,index,passes,n_max"
-        assert "141.42135623730951" in out
+        assert ",141.4213562373095," in out
 
     def test_missing_experiment_is_usage_error(self, capsys):
         assert main([]) == 2
@@ -391,11 +533,9 @@ class TestMain:
         assert code == 1
         assert "failed" in capsys.readouterr().err
 
-    def test_unwritable_output_is_runtime_failure(self, capsys):
-        code = main(
-            ["--experiment", "accessibility", "--qubits", "10",
-             "--out", "/no-such-directory/x.csv"]
-        )
+    def test_unwritable_output_is_runtime_failure(self, tmp_path, capsys):
+        # the path is a directory, so only opening it for writing fails
+        code = main(["--experiment", "accessibility", "--qubits", "10", "--out", str(tmp_path)])
         assert code == 1
 
     def test_bad_epsilon_text(self, capsys):
@@ -561,6 +701,35 @@ class TestMemoryGuard:
         monkeypatch.setattr(cli, "_physical_memory", lambda: float(largest - 1))
         with pytest.raises(UsageError, match="memory"):
             ExperimentConfig(**config)
+
+
+class TestOutDirectory:
+    @pytest.fixture(autouse=True)
+    def no_survey_runs(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("survey ran before the output directory was checked")
+
+        for name in ("_cell_criticals", "critical_threshold_sample",
+                     "empirical_concentration", "assess"):
+            monkeypatch.setattr(cli, name, refuse)
+
+    @pytest.mark.parametrize("where", ["missing", "file"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--experiment", "fit", "--qubits", "1,2", "--steps", "3,10", "--trials", "2"],
+            ["--experiment", "percolation-critical", "--steps", "5", "--samples", "2"],
+            ["--experiment", "accessibility"],
+        ],
+    )
+    def test_usage_error_before_any_draw(self, tmp_path, where, argv, capsys):
+        (tmp_path / "file").write_text("")
+        out = str(tmp_path / where / "x.csv")
+        assert main(argv + ["--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("qspan: error: out: ")
+        assert "is not a directory" in err
+        assert not os.path.exists(out)
 
 
 class TestConfigFileBooleans:
